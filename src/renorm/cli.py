@@ -2,11 +2,12 @@
 
 Emits data tables only (CSV or JSON); plotting belongs to external
 tools.  Exit codes: 0 success, 1 verification failure, 2 configuration
-error, 3 numeric failure (quadrature or oscillation budget).
+error, 3 numeric failure (quadrature, oscillation or term budget).
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -18,7 +19,7 @@ from . import diagrams as dg
 from . import partition as pt
 from . import tables
 from . import verify as verify_mod
-from .config import ConfigError, RunConfig
+from .config import MAX_ORDER, ConfigError, RunConfig
 from .quadrature import OscillationBudgetExceeded, QuadratureFailure
 from .regulator import (
     DeformedSpectrum,
@@ -84,6 +85,21 @@ def _emit(cfg: RunConfig, name: str, header: list[str], rows) -> Path:
         path = out / f"{name}.csv"
         tables.write_csv(path, header, rows)
     return path
+
+
+def _renormalized_constant(cfg: RunConfig) -> float:
+    """Constant part for a command that needs the renormalized limit.
+
+    The limit exists only when the squared reciprocals are summable; a
+    spectrum without one is a configuration error, reported before the
+    constant part is attempted.
+    """
+    spec = cfg.spectrum
+    if not spec.converges(2):
+        raise DivergentSum(
+            f"no renormalized limit: sum of beta**-2 diverges for tail exponent {spec.tail_p}"
+        )
+    return constant_part(spec, cfg.regulator, tol=cfg.tol)
 
 
 def _singular_description(cfg: RunConfig) -> str:
@@ -154,7 +170,7 @@ def phi(ctx):
     cfg = _load(ctx)
     threads = ctx.obj["threads"]
     spec, reg, theta = cfg.spectrum, cfg.regulator, cfg.theta
-    kap = constant_part(spec, reg, tol=cfg.tol)
+    kap = _renormalized_constant(cfg)
     s_values = cfg.s_grid.linear()
     n_values = cfg.n_grid.geometric_ints()
     lam_cuts = cfg.lambda_grid.geometric()
@@ -163,15 +179,15 @@ def phi(ctx):
         out = []
         for n in n_values:
             mod, phase = ch.finite_polar(spec, s, n)
-            val = ch.finite(spec, s, n)
+            val = cmath.rect(mod, phase)
             out.append(("finite", n, "", theta, s, val.real, val.imag, mod, phase))
         for lam_cut in lam_cuts:
             d = DeformedSpectrum(spec, reg, lam_cut)
             mod, phase = ch.flow_polar(d, s, theta)
-            val = ch.flow(d, s, theta)
+            val = cmath.rect(mod, phase)
             out.append(("flow", "", lam_cut, theta, s, val.real, val.imag, mod, phase))
         mod, phase = ch.renormalized_polar(spec, kap, s, theta)
-        val = ch.renormalized(spec, kap, s, theta)
+        val = cmath.rect(mod, phase)
         out.append(("renormalized", "", "", theta, s, val.real, val.imag, mod, phase))
         return out
 
@@ -189,8 +205,8 @@ def z(ctx):
     bound, and the renormalized value over the theta-grid."""
     cfg = _load(ctx)
     threads = ctx.obj["threads"]
-    spec, reg = cfg.spectrum, cfg.regulator
-    kap = constant_part(spec, reg, tol=cfg.tol)
+    spec = cfg.spectrum
+    kap = _renormalized_constant(cfg)
     n_values = cfg.n_grid.geometric_ints()
 
     def decay_row(n: int):
@@ -227,7 +243,7 @@ def flow(ctx):
     cfg = _load(ctx)
     threads = ctx.obj["threads"]
     spec, reg, theta, s = cfg.spectrum, cfg.regulator, cfg.theta, cfg.s
-    kap = constant_part(spec, reg, tol=cfg.tol)
+    kap = _renormalized_constant(cfg)
     phi_ref = ch.renormalized(spec, kap, s, theta)
     z_ref = pt.renormalized(spec, kap, cfg.lam, theta, cfg.quadrature)
     lam_cuts = cfg.lambda_grid.geometric()
@@ -267,9 +283,9 @@ def diagrams(ctx, order):
     shift-identity verdicts."""
     cfg = _load(ctx)
     order = cfg.order if order is None else order
-    if not 0 <= order <= 20:
-        raise ConfigError("order must lie in [0, 20]")
-    spec, reg, theta = cfg.spectrum, cfg.regulator, cfg.theta
+    if not 0 <= order <= MAX_ORDER:
+        raise ConfigError(f"order must lie in [0, {MAX_ORDER}]")
+    spec, theta = cfg.spectrum, cfg.theta
 
     moments = [
         {
@@ -287,7 +303,7 @@ def diagrams(ctx, order):
     path = _emit(cfg, "renorm_identity", ["order", "verdict"], verdicts)
     click.echo(f"wrote {path}")
 
-    kap = constant_part(spec, reg, tol=cfg.tol)
+    kap = _renormalized_constant(cfg)
     shift_value = (kap - theta) / 2.0
     loop_values = [
         spec.inverse_power_sum(m, cfg.tol) if spec.converges(m) else dg.INFINITE

@@ -11,7 +11,11 @@ from .quadrature import QuadratureConfig
 from .regulator import Regulator, regulator_from_dict, regulator_to_dict
 from .spectrum import Spectrum, spectrum_from_dict, spectrum_to_dict
 
-__all__ = ["ConfigError", "GridSpec", "RunConfig"]
+__all__ = ["MAX_ORDER", "ConfigError", "GridSpec", "RunConfig"]
+
+# Highest series/moment order a run may request, from the config or
+# the ``diagrams --order`` flag.
+MAX_ORDER = 30
 
 
 class ConfigError(Exception):
@@ -124,8 +128,9 @@ class RunConfig:
             raise ConfigError("lambda must be positive")
         if d["format"] not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
-        if not (isinstance(d["order"], int) and 0 <= d["order"] <= 30):
-            raise ConfigError("order must be an integer in [0, 30]")
+        order = d["order"]
+        if isinstance(order, bool) or not (isinstance(order, int) and 0 <= order <= MAX_ORDER):
+            raise ConfigError(f"order must be an integer in [0, {MAX_ORDER}]")
         return cls(
             spectrum=spec,
             regulator=reg,

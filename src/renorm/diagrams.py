@@ -72,7 +72,8 @@ class MomentPolynomial:
     def __init__(self, terms=None):
         clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         for key, coef in (terms or {}).items():
-            coef = Fraction(coef)
+            if not isinstance(coef, Fraction):
+                coef = Fraction(coef)
             if coef == 0:
                 continue
             zexp, loops = key
@@ -82,7 +83,7 @@ class MomentPolynomial:
             if any(e < 0 for e in loops) or zexp < 0:
                 raise ValueError("exponents must be nonnegative")
             k = (int(zexp), loops)
-            clean[k] = clean.get(k, Fraction(0)) + coef
+            clean[k] = clean[k] + coef if k in clean else coef
         self.terms = {k: v for k, v in clean.items() if v != 0}
 
     # -- constructors ------------------------------------------------------
@@ -199,23 +200,26 @@ class MomentPolynomial:
         before any arithmetic.
         """
         shift_f = Fraction(shift)
+        exact: dict[int, Fraction] = {}  # b_m as a rational, on first use
         total = Fraction(0)
         for (zexp, loops), coef in self.terms.items():
-            term = coef * shift_f**zexp
+            term = coef * shift_f**zexp if zexp else coef
             for m, e in enumerate(loops, start=1):
                 if e == 0:
                     continue
-                if m > len(loop_values):
-                    raise ValueError(
-                        f"monomial needs loop value b{m} but only "
-                        f"{len(loop_values)} were supplied"
-                    )
-                v = loop_values[m - 1]
-                if v is INFINITE:
-                    raise InfiniteCoefficient(
-                        f"monomial with b{m}^{e} hits a divergent loop value"
-                    )
-                term *= Fraction(v) ** e
+                if m not in exact:
+                    if m > len(loop_values):
+                        raise ValueError(
+                            f"monomial needs loop value b{m} but only "
+                            f"{len(loop_values)} were supplied"
+                        )
+                    v = loop_values[m - 1]
+                    if v is INFINITE:
+                        raise InfiniteCoefficient(
+                            f"monomial with b{m}^{e} hits a divergent loop value"
+                        )
+                    exact[m] = Fraction(v)
+                term *= exact[m] ** e
             total += term
         return total
 
@@ -269,26 +273,43 @@ class MomentPolynomial:
 
 # -- moments ------------------------------------------------------------------
 
-_MOMENTS: dict[int, MomentPolynomial] = {0: MomentPolynomial.one()}
+
+def _partitions(n: int, top: int):
+    """Integer partitions of n into parts of size <= top.
+
+    Each is yielded once as a fresh {size: count} dict.
+    """
+    if n == 0:
+        yield {}
+        return
+    for m in range(min(n, top), 1, -1):
+        for k in range(1, n // m + 1):
+            for parts in _partitions(n - k * m, m - 1):
+                parts[m] = k
+                yield parts
+    yield {1: n}
 
 
 def wick_moment(k: int) -> MomentPolynomial:
     """Moment of the k-th power of the source, as an exact polynomial.
 
-    Generated by the moment-cumulant recurrence with m-th cumulant
-    (m-1)! * b_m / 2 (the cumulant of a squared centered Gaussian summed
-    over modes); the pairing enumerator below validates the recurrence
-    term-by-term on small orders.
+    The moment generating function is exp(sum_m b_m t**m / (2m)) (the
+    m-th cumulant of a squared centered Gaussian summed over modes is
+    (m-1)! b_m / 2), so by the exponential formula the moment is the
+    cycle index of S_k: each integer partition of k with k_m parts of
+    size m contributes k! / prod_m k_m! (2m)**k_m times prod_m b_m**k_m.
+    The pairing enumerator below validates this term by term on small
+    orders.
     """
     if not 0 <= k <= 60:
         raise ValueError("moment order limited to k <= 60")
-    for n in range(max(_MOMENTS) + 1, k + 1):
-        acc = MomentPolynomial.zero()
-        for m in range(1, n + 1):
-            cum = MomentPolynomial.loop(m) * Fraction(math.factorial(m - 1), 2)
-            acc = acc + cum * _MOMENTS[n - m] * math.comb(n - 1, m - 1)
-        _MOMENTS[n] = acc
-    return _MOMENTS[k]
+    total = math.factorial(k)
+    terms = {}
+    for parts in _partitions(k, k):
+        exps = tuple(parts.get(m, 0) for m in range(1, max(parts, default=0) + 1))
+        weight = math.prod(math.factorial(c) * (2 * m) ** c for m, c in parts.items())
+        terms[(0, exps)] = Fraction(total, weight)
+    return MomentPolynomial(terms)
 
 
 def all_pairings(items):
@@ -413,6 +434,11 @@ def series_coefficients(
     which is only legal for the renormalized kinds.  Evaluation is exact
     in rationals, converted to float at the end.
 
+    No polynomial is built: moment(n) = n! a_n, where a_0 = 1 and
+    a_n = (1/2n) sum_{m<=n} b_m a_{n-m} are the Taylor coefficients of
+    exp(sum_m b_m t**m / (2m)).  Dropping tadpoles sets b1 to 0, and
+    shifting the source multiplies that series by exp(shift_value t).
+
     Raises
     ------
     InfiniteCoefficient
@@ -430,16 +456,30 @@ def series_coefficients(
     needed = stride * order
     if len(loop_values) < needed:
         raise ValueError(f"need loop values b1..b{needed} for order {order}")
-    out = []
-    for j in range(order + 1):
-        power = stride * j
-        if renorm:
-            poly = shifted_moment("H1", power)
-            val = poly.evaluate(loop_values, shift=-Fraction(shift_value))
-        else:
-            val = wick_moment(power).evaluate(loop_values)
-        out.append(float(val / math.factorial(j)))
-    return out
+    if renorm:
+        shift = Fraction(shift_value)
+        b = [Fraction(0)] + [Fraction(v) for v in loop_values[1:needed]]
+    elif needed and loop_values[0] is INFINITE:
+        raise InfiniteCoefficient(
+            f"coefficient 1 contains b1^{stride}, a divergent loop value"
+        )
+    else:
+        b = [Fraction(v) for v in loop_values[:needed]]
+    a = [Fraction(1)]
+    for n in range(1, needed + 1):
+        a.append(sum(b[m - 1] * a[n - m] for m in range(1, n + 1)) / (2 * n))
+    if renorm:
+        exp_shift = [Fraction(1)]
+        for i in range(1, needed + 1):
+            exp_shift.append(exp_shift[-1] * shift / i)
+        a = [
+            sum(a[i] * exp_shift[n - i] for i in range(n + 1))
+            for n in range(needed + 1)
+        ]
+    return [
+        float(a[stride * j] * (math.factorial(stride * j) // math.factorial(j)))
+        for j in range(order + 1)
+    ]
 
 
 def partial_sum_scan(s: float, max_order: int):

@@ -53,7 +53,7 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
 
 
-def quad_checked(f, a, b, *, abs_tol, rel_tol, max_limit, points=None):
+def quad_checked(f, a, b, *, abs_tol, rel_tol, max_limit):
     """Adaptive quadrature that doubles its subdivision budget until the
     reported error meets the tolerance, and fails loudly otherwise.
 
@@ -68,7 +68,6 @@ def quad_checked(f, a, b, *, abs_tol, rel_tol, max_limit, points=None):
             epsabs=abs_tol,
             epsrel=rel_tol,
             limit=limit,
-            points=points,
             full_output=1,
         )
         val, err = out[0], out[1]

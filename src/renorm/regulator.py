@@ -40,7 +40,8 @@ class UnsupportedRegulatorTail(Exception):
 
 
 class NoConvergence(Exception):
-    """An extrapolated cutoff limit failed to stabilize."""
+    """A truncated sum exceeded its term budget, or an extrapolated
+    cutoff limit failed to stabilize."""
 
 
 @dataclass(frozen=True)
@@ -130,17 +131,24 @@ class DeformedSpectrum:
         return max(m, 0)
 
     def survivor_chunks(self):
-        """Blocks of the finitely many elements kept by a sharp cutoff."""
+        """Blocks of the finitely many elements kept by a sharp cutoff.
+
+        Raises NoConvergence, before yielding anything, if more than
+        ``_MAX_TERMS`` elements survive.
+        """
         if not isinstance(self.reg, SharpCutoff):
             raise TypeError("only meaningful for the sharp cutoff")
         spec = self.base
         thresh = self.reg.a**2 * self.cutoff
         head = np.asarray(spec.head_values, dtype=float)
-        if head.size:
-            kept = head[head <= thresh]
-            if kept.size:
-                yield kept
+        kept = head[head <= thresh]
         m = self.sharp_tail_max_index()
+        if kept.size + max(0, m - spec.tail_start + 1) > _MAX_TERMS:
+            raise NoConvergence(
+                "cutoff too large for direct summation of the sharp sum"
+            )
+        if kept.size:
+            yield kept
         if m >= spec.tail_start:
             yield from spec.chunks(spec.tail_start, m)
 
@@ -167,7 +175,8 @@ class DeformedSpectrum:
     def inverse_sum(self, tol: float = 1e-12) -> float:
         """sum_j 1/beta_j(cutoff), finite for every positive cutoff.
 
-        Sharp cutoff: an exact finite sum.  Exponential profile: a
+        Sharp cutoff: an exact finite sum of at most ``_MAX_TERMS``
+        terms (NoConvergence beyond).  Exponential profile: a
         truncated sum plus the midpoint comparison integral of the tail,
         truncated once the first dropped term falls below tol (the
         sandwich between neighbouring comparison integrals bounds the
@@ -175,13 +184,7 @@ class DeformedSpectrum:
         """
         if isinstance(self.reg, SharpCutoff):
             total = 0.0
-            count = 0
             for block in self.survivor_chunks():
-                count += block.size
-                if count > _MAX_TERMS:
-                    raise ValueError(
-                        "cutoff too large for direct summation of the sharp sum"
-                    )
                 total += float(np.sum(1.0 / block))
             return total
 

@@ -73,7 +73,7 @@ def criterion_01_exact_moments(seed: int) -> CriterionResult:
 
 
 def criterion_02_pairing_oracle(seed: int) -> CriterionResult:
-    """Recurrence equals brute-force pairing enumeration; counts match."""
+    """Cycle-index moments equal brute-force pairing enumeration; counts match."""
     ok = True
     counts = []
     for k in range(7):

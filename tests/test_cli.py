@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, round-trips, determinism, exit codes."""
 
+import cmath
 import json
 from pathlib import Path
 
@@ -113,6 +114,18 @@ def test_phi_scan_structure(tmp_path):
     assert variants == {"finite", "flow", "renormalized"}
 
 
+def test_phi_scan_complex_value_is_polar_pair(tmp_path):
+    # each row's value is built from its own polar pair, bit for bit
+    cfg = _write_config(tmp_path, {})
+    result = RUNNER.invoke(main, ["--config", str(cfg), "phi"])
+    assert result.exit_code == 0, result.output
+    _, rows = tables.read_csv(tmp_path / "out" / "phi_scan.csv")
+    assert rows
+    for row in rows:
+        re, im, modulus, phase = row[5:]
+        assert complex(re, im) == cmath.rect(modulus, phase)
+
+
 def test_z_tables(tmp_path):
     cfg = _write_config(tmp_path, {})
     result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
@@ -167,6 +180,25 @@ def test_diagrams_order_flag_overrides(tmp_path):
     assert result.exit_code == 0, result.output
     moments = tables.read_json(tmp_path / "out" / "moments.json")
     assert [m["k"] for m in moments] == [0, 1]
+
+
+def test_diagrams_order_cap_is_shared_with_config(tmp_path):
+    cfg = _write_config(tmp_path, {"order": 30})
+    result = RUNNER.invoke(main, ["--config", str(cfg), "diagrams", "--order", "30"])
+    assert result.exit_code == 0, result.output
+    _, z_series = tables.read_csv(tmp_path / "out" / "series_z_renorm.csv")
+    assert [r[0] for r in z_series] == list(range(31))
+    result = RUNNER.invoke(main, ["--config", str(cfg), "diagrams", "--order", "31"])
+    assert result.exit_code == 2
+    cfg = _write_config(tmp_path, {"order": 31})
+    assert RUNNER.invoke(main, ["--config", str(cfg), "diagrams"]).exit_code == 2
+
+
+def test_boolean_order_exits_2(tmp_path):
+    cfg = _write_config(tmp_path, {"order": True})
+    result = RUNNER.invoke(main, ["--config", str(cfg), "diagrams"])
+    assert result.exit_code == 2
+    assert "order" in result.output
 
 
 def test_emitted_files_round_trip(tmp_path):

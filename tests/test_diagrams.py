@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renorm import diagrams as dg
 
@@ -29,8 +31,8 @@ def test_pairing_enumeration_counts():
         assert count == math.prod(range(1, 2 * k, 2))
 
 
-def test_bruteforce_matches_recurrence():
-    for k in range(7):
+def test_bruteforce_matches_cycle_index():
+    for k in range(9):
         assert dg.wick_moment_by_pairings(k) == dg.wick_moment(k)
 
 
@@ -103,7 +105,7 @@ def test_renorm_identity_hand_expansion_n2():
 
 def test_single_mode_moment_values():
     # all loop values equal to 1 collapses a moment to (2k-1)!!/2^k
-    for k in range(11):
+    for k in range(41):
         ones = [F(1)] * max(1, k)
         got = dg.wick_moment(k).evaluate(ones)
         assert got == F(math.prod(range(1, 2 * k, 2)), 2**k)
@@ -137,6 +139,43 @@ def test_series_renorm_first_coefficient_is_shift():
     out = dg.series_coefficients("phi_renorm", 1, [dg.INFINITE], shift_value=shift)
     assert out[0] == 1.0
     assert out[1] == pytest.approx(shift, abs=0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(dg.SERIES_KINDS),
+    order=st.integers(0, 8),
+    infinite_b1=st.booleans(),
+    shift=st.floats(-4.0, 4.0),
+    data=st.data(),
+)
+def test_series_matches_polynomial_definition(kind, order, infinite_b1, shift, data):
+    # the recursion must reproduce, float for float, the coefficients
+    # obtained by evaluating the moment polynomials themselves
+    stride = 2 if kind.startswith("z") else 1
+    count = data.draw(st.integers(stride * order, stride * order + 2))
+    loops = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=count, max_size=count))
+    if infinite_b1 and loops:
+        loops[0] = dg.INFINITE
+
+    def definition():
+        out = []
+        for j in range(order + 1):
+            n = stride * j
+            if kind.endswith("_renorm"):
+                val = dg.shifted_moment("H1", n).evaluate(loops, shift=-F(shift))
+            else:
+                val = dg.wick_moment(n).evaluate(loops)
+            out.append(float(val / math.factorial(j)))
+        return out
+
+    try:
+        want = definition()
+    except dg.InfiniteCoefficient:
+        with pytest.raises(dg.InfiniteCoefficient):
+            dg.series_coefficients(kind, order, loops, shift)
+        return
+    assert dg.series_coefficients(kind, order, loops, shift) == want
 
 
 def test_series_validation():

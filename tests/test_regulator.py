@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 from mpmath import harmonic, mp, zeta
@@ -176,6 +177,16 @@ def test_remainder_vanishes_with_cutoff():
         gaps.append(abs(d.inverse_sum() - rn.singular_part(d) - kap))
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-4
+
+
+def test_sharp_sum_budget_is_a_numeric_failure():
+    # 1e12 survivors exceed the direct-summation budget; the count is
+    # known from the tail index, so nothing is summed before raising
+    d = rn.DeformedSpectrum(HARMONIC, SHARP, 1e12)
+    t0 = time.perf_counter()
+    with pytest.raises(rn.NoConvergence):
+        d.inverse_sum()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_regulator_serialization():
