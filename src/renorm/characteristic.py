@@ -123,6 +123,21 @@ def _stable_v_minus_atan(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_arguments(s: float, tol: float) -> None:
+    if not math.isfinite(s):
+        raise ValueError(f"argument s must be finite, got {s}")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
+def _check_budget(n: int, s: float) -> None:
+    """Refuse to grow a truncation index past the shared term budget."""
+    if n > _MAX_TERMS:
+        raise NoConvergence(
+            f"renormalized limit at s = {s:g} needs more than {_MAX_TERMS} terms"
+        )
+
+
 def modulus_limit(spec: Spectrum, s: float, tol: float = 1e-10) -> float:
     """Limit modulus f of the infinite product, to absolute error tol.
 
@@ -133,11 +148,11 @@ def modulus_limit(spec: Spectrum, s: float, tol: float = 1e-10) -> float:
     """
     if s == 0.0:
         return 1.0
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_arguments(s, tol)
     s2 = s * s
     n = max(spec.tail_start, 256)
     while True:
+        _check_budget(n, s)
         if abs(s) / spec.value(n + 1) <= 0.5:
             t2, e2 = spec.tail_inverse_power(2, n)
             t4, e4 = spec.tail_inverse_power(4, n)
@@ -173,10 +188,10 @@ def renormalized_phase(
     """
     if s == 0.0:
         return 0.0
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_arguments(s, tol)
     n = max(spec.tail_start, 256)
     while True:
+        _check_budget(n, s)
         if abs(s) / spec.value(n + 1) <= 0.5:
             t3, e3 = spec.tail_inverse_power(3, n)
             t5, e5 = spec.tail_inverse_power(5, n)

@@ -287,14 +287,16 @@ def diagrams(ctx, order):
         raise ConfigError(f"order must lie in [0, {MAX_ORDER}]")
     spec, theta = cfg.spectrum, cfg.theta
 
-    moments = [
-        {
-            "k": k,
-            "moment": dg.wick_moment(k).to_json_obj(),
-            "tadpole_free": dg.tadpole_free_moment(k).to_json_obj(),
-        }
-        for k in range(order + 1)
-    ]
+    moments = []
+    for k in range(order + 1):
+        full = dg.wick_moment(k)
+        moments.append(
+            {
+                "k": k,
+                "moment": full.to_json_obj(),
+                "tadpole_free": full.drop_tadpoles().to_json_obj(),
+            }
+        )
     out = Path(cfg.out)
     tables.write_json(out / "moments.json", moments)
     click.echo(f"wrote {out / 'moments.json'}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,8 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError("grid count must be at least 1")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError("grid endpoints must be finite")
         if self.hi < self.lo:
             raise ConfigError("grid max must not be below min")
 
@@ -120,8 +123,9 @@ class RunConfig:
             mc = McConfig(**d["mc"])
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad quadrature/mc settings: {e}") from None
-        tol = float(d["tol"])
-        lam = float(d["lambda"])
+        theta, lam, s, tol = (float(d[k]) for k in ("theta", "lambda", "s", "tol"))
+        if not all(math.isfinite(v) for v in (theta, lam, s, tol)):
+            raise ConfigError("theta, lambda, s and tol must be finite")
         if tol <= 0:
             raise ConfigError("tol must be positive")
         if lam <= 0:
@@ -134,9 +138,9 @@ class RunConfig:
         return cls(
             spectrum=spec,
             regulator=reg,
-            theta=float(d["theta"]),
+            theta=theta,
             lam=lam,
-            s=float(d["s"]),
+            s=s,
             order=d["order"],
             tol=tol,
             s_grid=GridSpec.from_dict(d["s_grid"], "s_grid"),

@@ -313,16 +313,28 @@ def wick_moment(k: int) -> MomentPolynomial:
 
 
 def all_pairings(items):
-    """Yield every pairing (partition into blocks of two) of the items."""
+    """Yield every pairing (partition into blocks of two) of the items.
+
+    The pairs chosen so far live on one shared stack; a pairing is
+    copied only once it is complete.
+    """
     items = list(items)
     if not items:
         yield []
         return
-    first = items.pop(0)
-    for i, other in enumerate(items):
-        rest = items[:i] + items[i + 1 :]
-        for pairing in all_pairings(rest):
-            yield [(first, other)] + pairing
+    pairs = []
+
+    def extend(rest):
+        first = rest[0]
+        if len(rest) == 2:
+            yield pairs + [(first, rest[1])]
+            return
+        for i in range(1, len(rest)):
+            pairs.append((first, rest[i]))
+            yield from extend(rest[1:i] + rest[i + 1 :])
+            pairs.pop()
+
+    yield from extend(items)
 
 
 def _loop_sizes(pairing, k: int) -> list[int]:
@@ -330,26 +342,24 @@ def _loop_sizes(pairing, k: int) -> list[int]:
 
     Half-lines 2v and 2v+1 belong to vertex v; a loop alternates a
     matched line with the passage through a vertex, and its size is the
-    number of lines traversed.
+    number of lines traversed.  Walked lines are marked by overwriting
+    their ends' partners with -1.
     """
-    partner = {}
+    partner = [0] * (2 * k)
     for x, y in pairing:
         partner[x] = y
         partner[y] = x
-    visited = [False] * (2 * k)
     sizes = []
-    for start in range(2 * k):
-        if visited[start]:
-            continue
+    for start in range(0, 2 * k, 2):
         size = 0
         h = start
-        while not visited[h]:
-            visited[h] = True
+        while partner[h] >= 0:
             p = partner[h]
-            visited[p] = True
+            partner[h] = partner[p] = -1
             size += 1
             h = p ^ 1
-        sizes.append(size)
+        if size:
+            sizes.append(size)
     return sizes
 
 

@@ -53,7 +53,7 @@ class McConfig:
     seed: int = 20_240_809
 
     def __post_init__(self):
-        if self.samples < 1000:
+        if not 1000 <= self.samples < math.inf:
             raise ValueError("need at least 1000 samples for a usable error bar")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from scipy import integrate
@@ -45,12 +46,12 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.half_width_sigmas <= 0:
-            raise ValueError("half_width_sigmas must be positive")
-        if self.max_nodes < 64:
+        if not 0 < self.half_width_sigmas < math.inf:
+            raise ValueError("half_width_sigmas must be positive and finite")
+        if not 64 <= self.max_nodes < math.inf:
             raise ValueError("max_nodes must be at least 64")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 def quad_checked(f, a, b, *, abs_tol, rel_tol, max_limit):

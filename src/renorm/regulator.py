@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .quadrature import quad_checked
 from .spectrum import Spectrum, _MAX_TERMS
@@ -40,8 +41,7 @@ class UnsupportedRegulatorTail(Exception):
 
 
 class NoConvergence(Exception):
-    """A truncated sum exceeded its term budget, or an extrapolated
-    cutoff limit failed to stabilize."""
+    """A truncated sum exceeded its term budget."""
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class SharpCutoff:
     a: float = 1.0
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError("cutoff width a must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError("cutoff width a must be positive and finite")
 
     def profile(self, x: float) -> float:
         return 1.0 if x <= self.a else 0.0
@@ -82,8 +82,8 @@ class DeformedSpectrum:
     cutoff: float
 
     def __post_init__(self):
-        if not self.cutoff > 0:
-            raise ValueError("cutoff must be positive")
+        if not 0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be positive and finite")
 
     # -- elementwise ------------------------------------------------------
 
@@ -160,15 +160,23 @@ class DeformedSpectrum:
         return (math.exp(-math.sqrt(b / self.cutoff)) / b) ** power
 
     def _exp_tail_integral(self, start: float, power: int = 1, abs_tol: float = 1e-13) -> float:
+        """Integral of (1/deformed value)**power over the tail from start,
+        taken in t = ln sqrt(c x**p / cutoff): there the integrand decays
+        from the lower end at a rate set by p and k alone, while in x it
+        is flat out to x ~ cutoff, a range quadrature can step over.
+        exp(t) is clipped where the integrand has long underflowed."""
+        c, p, lam, k = self.base.tail_c, self.base.tail_p, self.cutoff, power
+        scale = 2.0 / (p * lam**k) * (lam / c) ** (1.0 / p)
+        a = 2.0 / p - 2.0 * k
         val, _ = quad_checked(
-            lambda x: self._exp_recip(x, power),
-            start,
+            lambda t: math.exp(a * t - k * math.exp(min(t, 700.0))),
+            0.5 * math.log(c * start**p / lam),
             np.inf,
-            abs_tol=abs_tol,
+            abs_tol=abs_tol / scale,
             rel_tol=1e-9,
             max_limit=400,
         )
-        return val
+        return scale * val
 
     # -- reciprocal sum -----------------------------------------------------
 
@@ -236,48 +244,37 @@ def singular_part(d: DeformedSpectrum) -> float:
     )
 
 
-def constant_part(
-    spec: Spectrum,
-    reg: Regulator,
-    tol: float = 1e-8,
-    first_cutoff: float = 1024.0,
-    max_doublings: int = 26,
-) -> float:
+def constant_part(spec: Spectrum, reg: Regulator, tol: float = 1e-8) -> float:
     """Cutoff-independent part of the deformed reciprocal sum.
 
-    Evaluates ``inverse_sum - singular_part`` on a doubling cutoff grid
-    and accelerates the sequence with Aitken's delta-squared (the decay
-    rate of the remainder is not known a priori, so an order-agnostic
-    accelerator is used).  Stops once consecutive accelerated values
-    agree within tol.
-
-    Raises
-    ------
-    NoConvergence
-        If the estimates fail to stabilize within the grid budget.
+    The constant term of its Mellin asymptotics (Flajolet, Gourdon &
+    Dumas 1995), normalized as in :func:`singular_part`.  With H the
+    head's reciprocal sum and m the first tail index it is, for tail
+    exponent p > 1, the plain reciprocal sum (to within tol); for p = 1,
+    H + (gamma - ln c + I_rho - sum_{j<m} 1/j) / c with I_rho =
+    2 int_0^inf (rho(u) - [u < 1]) du/u, that is 2 ln a for the sharp
+    profile and -2 gamma for the exponential one; for p < 1 under the
+    sharp profile, H + (zeta(p) - sum_{j<m} j**-p) / c with the
+    continued Riemann zeta (the width a drops out).  The exponential
+    profile with p < 1 raises UnsupportedRegulatorTail.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    inner = min(tol * 1e-2, 1e-10)
-    raw: list[float] = []
-    accel: list[float] = []
-    lam = first_cutoff
-    for _ in range(max_doublings):
-        d = DeformedSpectrum(spec, reg, lam)
-        raw.append(d.inverse_sum(tol=inner) - singular_part(d))
-        if len(raw) >= 3:
-            x0, x1, x2 = raw[-3:]
-            d21, d10 = x2 - x1, x1 - x0
-            dd = d21 - d10
-            accel.append(x2 if abs(dd) < 1e-300 else x2 - d21 * d21 / dd)
-            if len(accel) >= 2 and abs(accel[-1] - accel[-2]) <= tol:
-                return accel[-1]
-        if len(raw) >= 2 and abs(raw[-1] - raw[-2]) <= 0.1 * tol:
-            return raw[-1]
-        lam *= 2.0
-    raise NoConvergence(
-        f"constant part did not stabilize within {max_doublings} doublings "
-        f"from cutoff {first_cutoff:g}"
+    p, c = spec.tail_p, spec.tail_c
+    if p > 1.0:
+        return spec.inverse_power_sum(1, tol)
+    head = sum(1.0 / v for v in spec.head_values)
+    below = range(1, spec.tail_start)
+    if p == 1.0:
+        sharp = isinstance(reg, SharpCutoff)
+        i_rho = 2.0 * math.log(reg.a) if sharp else -2.0 * np.euler_gamma
+        harmonic = sum(1.0 / j for j in below)
+        return head + (np.euler_gamma - math.log(c) + i_rho - harmonic) / c
+    if isinstance(reg, SharpCutoff):
+        return head + (float(special.zeta(p)) - sum(j**-p for j in below)) / c
+    raise UnsupportedRegulatorTail(
+        f"no closed-form constant part for {type(reg).__name__} "
+        f"with tail exponent {p}"
     )
 
 

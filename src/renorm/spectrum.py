@@ -9,6 +9,7 @@ integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,8 +184,8 @@ class PowerLaw(Spectrum):
     p: float
 
     def __post_init__(self):
-        if not (self.c > 0 and self.p > 0):
-            raise ValueError("power-law spectrum needs c > 0 and p > 0")
+        if not (0 < self.c < math.inf and 0 < self.p < math.inf):
+            raise ValueError("power-law spectrum needs finite c > 0 and p > 0")
 
     @property
     def head_values(self) -> tuple[float, ...]:
@@ -215,10 +216,10 @@ class ExplicitWithTail(Spectrum):
         object.__setattr__(self, "head", tuple(float(v) for v in head))
         object.__setattr__(self, "c", float(tail_c))
         object.__setattr__(self, "p", float(tail_p))
-        if any(v <= 0 for v in self.head):
-            raise ValueError("head values must be positive")
-        if not (self.c > 0 and self.p > 0):
-            raise ValueError("tail needs tail_c > 0 and tail_p > 0")
+        if not all(0 < v < math.inf for v in self.head):
+            raise ValueError("head values must be positive and finite")
+        if not (0 < self.c < math.inf and 0 < self.p < math.inf):
+            raise ValueError("tail needs finite tail_c > 0 and tail_p > 0")
 
     @property
     def head_values(self) -> tuple[float, ...]:

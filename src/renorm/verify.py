@@ -20,7 +20,7 @@ from . import diagrams as dg
 from . import partition as pt
 from .partition import McConfig
 from .quadrature import QuadratureConfig
-from .regulator import DeformedSpectrum, SharpCutoff, constant_part
+from .regulator import DeformedSpectrum, SharpCutoff, constant_part, singular_part
 from .spectrum import ExplicitWithTail, PowerLaw
 
 __all__ = [
@@ -205,10 +205,9 @@ def criterion_09_flow_convergence(seed: int) -> CriterionResult:
     or too fast.  A hundredfold drop over two decades is exactly this
     leading rate; whether the ratio lands strictly below 1e-2 is left to
     the sign of the O(1/L^2) term, and the exact ratios are 1.00004144e-2
-    (phi) and 1.00002003e-2 (z).  An error eps in the extrapolated
-    constant part moves L d/A by about eps L.  At the constant-part
-    tolerance 1e-10 that reaches 1e-5 at L = 1e5, which is why the band
-    is 1/L and not tighter.
+    (phi) and 1.00002003e-2 (z).  An error eps in the constant part
+    moves L d/A by about eps L, so the 1/L band detects any error in
+    it above about 1/L^2 (1e-10 at L = 1e5).
     """
     s, lam = 1.0, 1.0
     reg = SharpCutoff(1.0)
@@ -251,13 +250,28 @@ def criterion_09_flow_convergence(seed: int) -> CriterionResult:
 
 
 def criterion_10_kappa_recovery(seed: int) -> CriterionResult:
-    """Extrapolated constant part recovers the Euler-Mascheroni constant."""
-    kap = constant_part(_HARMONIC, SharpCutoff(1.0), tol=1e-8)
+    """Closed-form constant part recovers the Euler-Mascheroni constant.
+
+    The constant part is also held to the same bound against direct
+    sharp sums: with r(L) = H_L - ln L = gamma + 1/(2L) - 1/(12 L^2) + ...,
+    the Richardson value 2 r(2L) - r(L) is gamma + 1/(24 L^2) + ..., so
+    the check does not rest on the closed form alone.
+    """
+    reg = SharpCutoff(1.0)
+    kap = constant_part(_HARMONIC, reg, tol=1e-8)
+
+    def remainder(lam_cut: float) -> float:
+        d = DeformedSpectrum(_HARMONIC, reg, lam_cut)
+        return d.inverse_sum() - singular_part(d)
+
+    richardson = 2.0 * remainder(2e5) - remainder(1e5)
     err = abs(kap - GAMMA)
-    ok = err < 1e-6
+    err_direct = abs(kap - richardson)
+    ok = err < 1e-6 and err_direct < 1e-6
     return CriterionResult(
         10, "constant-part-recovery", ok,
-        f"constant part {kap:.12f}, |error| = {err:.3e} (need < 1e-6)",
+        f"constant part {kap:.12f}, |error| = {err:.3e}; "
+        f"|constant part - 2r(2e5) + r(1e5)| = {err_direct:.3e} (need < 1e-6)",
     )
 
 

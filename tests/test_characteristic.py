@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -196,6 +197,25 @@ def test_sharp_flow_with_masked_head():
     r = rn.singular_part(d)
     manual = math.exp(-0.25 * log_mod) * cmath.exp(0.5j * (phase - s * (r + theta)))
     assert abs(ch.flow(d, s, theta) - manual) < 1e-13
+
+
+def test_renormalized_limit_term_budget():
+    # s = 1e9 needs about 2e9 harmonic terms before the tail expansion
+    # applies; the shared budget refuses before summing any of them
+    t0 = time.perf_counter()
+    with pytest.raises(rn.NoConvergence):
+        ch.renormalized_phase(HARMONIC, 0.0, 1e9)
+    with pytest.raises(rn.NoConvergence):
+        ch.modulus_limit(HARMONIC, 1e9)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_renormalized_limit_rejects_nonfinite_argument():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ch.modulus_limit(HARMONIC, bad)
+        with pytest.raises(ValueError):
+            ch.renormalized_phase(HARMONIC, GAMMA, bad)
 
 
 def test_flow_at_zero_argument():

@@ -4,6 +4,7 @@ import cmath
 import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from renorm import diagrams as dg
@@ -78,6 +79,34 @@ def test_nonpositive_coupling_exits_2(tmp_path):
     path.write_text(json.dumps({"lambda": -1.0}))
     result = RUNNER.invoke(main, ["--config", str(path), "z"])
     assert result.exit_code == 2
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("phi", {"theta": NAN}),
+        ("z", {"lambda": INF}),
+        ("phi", {"s_grid": {"min": NAN, "max": 1.0, "count": 3}}),
+        ("flow", {"s": NAN}),
+        ("spectrum", {"tol": NAN}),
+        ("spectrum", {"spectrum": {"family": "power_law", "c": INF, "p": 1.0}}),
+        ("spectrum", {"spectrum": {"family": "explicit_tail", "head": [NAN],
+                                   "tail_c": 1.0, "tail_p": 1.0}}),
+        ("spectrum", {"regulator": {"kind": "sharp_cutoff", "a": INF}}),
+        ("z", {"quadrature": {"abs_tol": NAN}}),
+        ("z", {"quadrature": {"max_nodes": NAN}}),
+        ("z", {"mc": {"samples": NAN, "seed": 11}}),
+    ],
+)
+def test_nonfinite_config_value_exits_2(tmp_path, command, overrides):
+    cfg = _write_config(tmp_path, overrides)
+    result = RUNNER.invoke(main, ["--config", str(cfg), command])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_divergent_series_request_exits_2(tmp_path):

@@ -1,4 +1,4 @@
-"""Cutoff deformations, the singular/constant split, and extrapolation."""
+"""Cutoff deformations and the singular/constant split."""
 
 import json
 import math
@@ -6,6 +6,7 @@ import time
 
 import pytest
 from mpmath import harmonic, mp, zeta
+from scipy import special
 
 import renorm as rn
 
@@ -88,40 +89,42 @@ def test_singular_part_matches_inverse_sum_growth():
 
 def test_constant_part_harmonic_sharp_is_gamma():
     kap = rn.constant_part(HARMONIC, SHARP, tol=1e-9)
-    assert abs(kap - GAMMA) < 1e-7
+    assert abs(kap - GAMMA) <= 1e-12
 
 
 def test_constant_part_scaled_harmonic():
     kap = rn.constant_part(rn.PowerLaw(2.0, 1.0), SHARP, tol=1e-9)
-    assert abs(kap - (GAMMA - math.log(2.0)) / 2.0) < 1e-7
+    assert abs(kap - (GAMMA - math.log(2.0)) / 2.0) <= 1e-12
 
 
 def test_constant_part_summable_spectrum_is_plain_sum():
     ref = math.pi**2 / 6.0
-    assert abs(rn.constant_part(SQUARES, SHARP, tol=1e-6) - ref) < 1e-5
-    assert abs(rn.constant_part(SQUARES, rn.Exponential(), tol=1e-4) - ref) < 2e-3
+    assert abs(rn.constant_part(SQUARES, SHARP, tol=1e-13) - ref) <= 1e-12
+    assert abs(rn.constant_part(SQUARES, rn.Exponential(), tol=1e-13) - ref) <= 1e-12
 
 
 def test_constant_part_depends_on_profile_width():
     # widening the sharp window by a shifts the constant by 2 ln(a) / c
-    for a, c in ((2.0, 1.0), (0.5, 2.0)):
+    for a, c in ((2.0, 1.0), (0.5, 2.0), (1.155, 0.948)):
         spec = rn.PowerLaw(c, 1.0)
         ka = rn.constant_part(spec, rn.SharpCutoff(a), tol=1e-8)
         k1 = rn.constant_part(spec, rn.SharpCutoff(1.0), tol=1e-8)
-        assert abs((ka - k1) - 2.0 * math.log(a) / c) < 1e-6
+        assert abs((ka - k1) - 2.0 * math.log(a) / c) <= 1e-12
 
 
 def test_constant_part_exponential_profile_differs():
     # same spectrum, different profile: the constant flips to -gamma
     kap = rn.constant_part(HARMONIC, rn.Exponential(), tol=1e-5)
-    assert abs(kap - (-GAMMA)) < 1e-3
+    assert abs(kap - (-GAMMA)) <= 1e-12
 
 
 def test_constant_part_sublinear_tail():
     # tail exponent 0.7: the constant is the analytically continued
     # inverse-power sum at the tail exponent
     kap = rn.constant_part(rn.PowerLaw(1.0, 0.7), SHARP, tol=1e-3)
-    assert abs(kap - float(zeta(0.7))) < 5e-3
+    assert abs(kap - float(zeta(0.7))) <= 1e-12
+    with pytest.raises(rn.UnsupportedRegulatorTail):
+        rn.constant_part(rn.PowerLaw(1.0, 0.7), rn.Exponential())
 
 
 def test_constant_part_shifts_exactly_with_head_distortion():
@@ -130,12 +133,53 @@ def test_constant_part_shifts_exactly_with_head_distortion():
     spec = rn.ExplicitWithTail([10.0, 20.0], 1.0, 1.0)
     kap = rn.constant_part(spec, SHARP, tol=1e-9)
     expect = GAMMA + (1.0 / 10.0 - 1.0) + (1.0 / 20.0 - 0.5)
-    assert abs(kap - expect) < 1e-7
+    assert abs(kap - expect) <= 1e-12
 
 
-def test_constant_part_budget_failure():
-    with pytest.raises(rn.NoConvergence):
-        rn.constant_part(HARMONIC, SHARP, tol=1e-12, max_doublings=3)
+def _remainder(spec, reg, lam_cut):
+    # the direct route: deformed reciprocal sum minus its singular part
+    d = rn.DeformedSpectrum(spec, reg, lam_cut)
+    return d.inverse_sum(1e-12) - rn.singular_part(d)
+
+
+def test_sharp_constant_part_matches_direct_sums():
+    # H_N - ln x with N = floor(x), x = a^2 L / c, stays within 1/x of
+    # gamma, so r(L) is within 1/(a^2 L) of the constant part
+    for a, c in ((1.155, 0.948), (0.8, 1.25), (2.0, 4.0)):
+        spec, reg = rn.PowerLaw(c, 1.0), rn.SharpCutoff(a)
+        kap = rn.constant_part(spec, reg)
+        for lam_cut in (1e4, 1e5, 1e6):
+            assert abs(_remainder(spec, reg, lam_cut) - kap) <= 2.0 / (a * a * lam_cut)
+
+
+def test_exponential_constant_part_matches_direct_sums():
+    # Mellin asymptotics: r(L) - kappa = -zeta(1/2)/sqrt(cL) + O(1/L),
+    # the leading term from the pole of 2 Gamma(2s) at s = -1/2
+    zeta_half = float(zeta(0.5))
+    reg = rn.Exponential()
+    for c in (1.0, 0.87):
+        spec = rn.PowerLaw(c, 1.0)
+        kap = rn.constant_part(spec, reg)
+        for lam_cut in (1e2, 1e3, 1e4):
+            root = math.sqrt(c * lam_cut)
+            r = _remainder(spec, reg, lam_cut)
+            assert abs(root * (r - kap) + zeta_half) <= 0.5 / root
+        # the check resolves a constant part 1e-4 off at L = 1e4
+        for shift in (1e-4, -1e-4):
+            assert abs(root * (r - kap - shift) + zeta_half) > 0.5 / root
+
+
+def test_exp_tail_integral_matches_exponential_integrals():
+    # int_x0^inf (e^{-sqrt(c x/L)}/(c x))^k dx is (2/c) E1(u0) for k = 1
+    # and (2/(c L)) E3(2 u0) / u0^2 for k = 2, with u0 = sqrt(c x0/L)
+    for lam_cut, start in ((1e5, 2.0**23 + 0.5), (100.0, 1e4 + 0.5), (1e3, 64.5)):
+        for c in (1.0, 0.5):
+            d = rn.DeformedSpectrum(rn.PowerLaw(c, 1.0), rn.Exponential(), lam_cut)
+            u0 = math.sqrt(c * start / lam_cut)
+            e1 = 2.0 / c * special.exp1(u0)
+            e3 = 2.0 / (c * lam_cut) * special.expn(3, 2.0 * u0) / u0**2
+            assert d._exp_tail_integral(start, 1, abs_tol=1e-30) == pytest.approx(e1, rel=1e-9)
+            assert d._exp_tail_integral(start, 2, abs_tol=1e-30) == pytest.approx(e3, rel=1e-9)
 
 
 def test_sharp_tail_index_brackets_threshold():

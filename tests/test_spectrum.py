@@ -48,6 +48,13 @@ def test_constructor_validation():
         rn.ExplicitWithTail([1.0, -1.0], 1.0, 1.0)
     with pytest.raises(ValueError):
         rn.PowerLaw(1.0, 1.0).value(0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            rn.PowerLaw(bad, 1.0)
+        with pytest.raises(ValueError):
+            rn.ExplicitWithTail([1.0, bad], 1.0, 1.0)
+        with pytest.raises(ValueError):
+            rn.ExplicitWithTail([1.0], bad, 1.0)
 
 
 def test_inverse_power_sum_zeta2():
