@@ -16,6 +16,7 @@ the divergent part of the reciprocal sum.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -43,13 +44,7 @@ def finite_polar(spec: Spectrum, s: float, n: int) -> tuple[float, float]:
     """Modulus and (continuous, unwrapped) phase of the n-factor product."""
     if n < 1:
         raise ValueError("need at least one factor")
-    log_mod = 0.0
-    phase = 0.0
-    for block in spec.chunks(1, n):
-        r = s / block
-        log_mod += float(np.sum(np.log1p(r * r)))
-        phase += float(np.sum(np.arctan(r)))
-    return math.exp(-0.25 * log_mod), 0.5 * phase
+    return _polar(functools.partial(spec._spectral_sum, upper=n), s)
 
 
 def finite(spec: Spectrum, s: float, n: int) -> complex:
@@ -104,23 +99,29 @@ def finite_by_quadrature(
     return result
 
 
-def _stable_v_minus_atan(v: np.ndarray) -> np.ndarray:
-    """v - arctan(v), elementwise, without cancellation for small v.
+def _taylor(s: float, head, e: int, w: float):
+    """The summand head(s/beta) of a spectral sum and its tail expansion
+    w * sum_{k>=0} (-1)**k (s/beta)**m / m with m = 2k + e."""
 
-    For |v| <= 1/2 the alternating series v**3 (1/3 - v**2/5 + ...) is
-    summed to machine precision; the direct difference is fine beyond.
-    """
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    big = np.abs(v) > 0.5
-    out[big] = v[big] - np.arctan(v[big])
-    w = v[~big]
-    y = w * w
-    acc = np.zeros_like(w)
-    for m in range(27, -1, -1):
-        acc = acc * y + ((-1.0) ** m) / (2 * m + 3)
-    out[~big] = w * y * acc
-    return out
+    def series(b, terms):
+        k = np.arange(terms)
+        m = 2 * k + e
+        return m, w * (-1.0) ** k * (s / b) ** m / m
+
+    return lambda beta: head(s / beta), series
+
+
+def _log_modulus(s: float):
+    """log1p((s/beta)**2)."""
+    return _taylor(s, lambda r: np.log1p(r * r), 2, 2.0)
+
+
+def _polar(total, s: float) -> tuple[float, float]:
+    """Modulus and phase of a product whose log1p and arctan sums the
+    summation route ``total(head, series, radius)`` takes."""
+    log_mod = total(*_log_modulus(s), abs(s))
+    phase = total(*_taylor(s, np.arctan, 1, 1.0), abs(s))
+    return math.exp(-0.25 * log_mod), 0.5 * phase
 
 
 def _check_arguments(s: float, tol: float) -> None:
@@ -130,49 +131,17 @@ def _check_arguments(s: float, tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
-def _check_budget(n: int, s: float) -> None:
-    """Refuse to grow a truncation index past the shared term budget."""
-    if n > _MAX_TERMS:
-        raise NoConvergence(
-            f"renormalized limit at s = {s:g} needs more than {_MAX_TERMS} terms"
-        )
-
-
 def modulus_limit(spec: Spectrum, s: float, tol: float = 1e-10) -> float:
     """Limit modulus f of the infinite product, to absolute error tol.
 
     Needs the squared reciprocals of the spectrum to be summable.  The
-    log-domain tail sum_{j>n} log1p((s/beta_j)**2) is replaced by its
-    expansion through three inverse-power tails; the first dropped term
-    and the tail-estimate bounds control the truncation index.
+    log-domain sum of log1p((s/beta_j)**2) is exact to rounding: a
+    direct head and a power series whose tail sums are closed forms.
     """
     if s == 0.0:
         return 1.0
     _check_arguments(s, tol)
-    s2 = s * s
-    n = max(spec.tail_start, 256)
-    while True:
-        _check_budget(n, s)
-        if abs(s) / spec.value(n + 1) <= 0.5:
-            t2, e2 = spec.tail_inverse_power(2, n)
-            t4, e4 = spec.tail_inverse_power(4, n)
-            t6, e6 = spec.tail_inverse_power(6, n)
-            t8, e8 = spec.tail_inverse_power(8, n)
-            err = 0.25 * (
-                s2 * e2
-                + s2 * s2 * (0.5 * e4)
-                + s2 * s2 * s2 * (e6 / 3.0)
-                + s2 * s2 * s2 * s2 * (t8 + e8) / 4.0
-            )
-            if err <= tol:
-                break
-        n *= 2
-    partial = 0.0
-    for block in spec.chunks(1, n):
-        r = s / block
-        partial += float(np.sum(np.log1p(r * r)))
-    tail = s2 * t2 - 0.5 * s2 * s2 * t4 + s2 * s2 * s2 * t6 / 3.0
-    return math.exp(-0.25 * (partial + tail))
+    return math.exp(-0.25 * spec._spectral_sum(*_log_modulus(s), abs(s)))
 
 
 def renormalized_phase(
@@ -182,30 +151,15 @@ def renormalized_phase(
 
         -s * const_part + sum_j (s/beta_j - arctan(s/beta_j)),
 
-    with the per-term closed form (each term is the exact t-integral of
-    the corresponding rational integrand) and a cubic inverse-power tail
-    bound.  Odd in s; vanishes at s = 0.
+    each term being the exact t-integral of the corresponding rational
+    integrand; the sum is exact to rounding, with its tail in closed
+    form.  Odd in s; vanishes at s = 0.
     """
     if s == 0.0:
         return 0.0
     _check_arguments(s, tol)
-    n = max(spec.tail_start, 256)
-    while True:
-        _check_budget(n, s)
-        if abs(s) / spec.value(n + 1) <= 0.5:
-            t3, e3 = spec.tail_inverse_power(3, n)
-            t5, e5 = spec.tail_inverse_power(5, n)
-            t7, e7 = spec.tail_inverse_power(7, n)
-            a = abs(s)
-            err = (a**3 / 3.0) * e3 + (a**5 / 5.0) * e5 + (a**7 / 7.0) * (t7 + e7)
-            if err <= tol:
-                break
-        n *= 2
-    partial = 0.0
-    for block in spec.chunks(1, n):
-        partial += float(np.sum(_stable_v_minus_atan(s / block)))
-    tail = (s**3 / 3.0) * t3 - (s**5 / 5.0) * t5
-    return -s * const_part + partial + tail
+    v_minus_atan = _taylor(s, lambda r: r - np.arctan(r), 3, 1.0)
+    return -s * const_part + spec._spectral_sum(*v_minus_atan, abs(s))
 
 
 def renormalized_polar(
@@ -239,20 +193,16 @@ def deformed_polar(
     """Modulus and phase of the full product over a deformed spectrum.
 
     Sharp cutoff: the surviving factors form a finite, exact product
-    (dropped factors contribute 1).  Exponential profile: the sums are
+    (dropped factors contribute 1); its surviving power-law tail is
+    summed in closed form, so the cost does not grow with the cutoff.
+    Exponential profile: the sums are
     truncated where the first dropped reciprocal falls below tol and
     completed by midpoint comparison integrals.
     """
     if s == 0.0:
         return 1.0, 0.0
     if isinstance(d.reg, SharpCutoff):
-        log_mod = 0.0
-        phase = 0.0
-        for block in d.survivor_chunks():
-            r = s / block
-            log_mod += float(np.sum(np.log1p(r * r)))
-            phase += float(np.sum(np.arctan(r)))
-        return math.exp(-0.25 * log_mod), 0.5 * phase
+        return _polar(d._survivor_sum, s)
 
     spec = d.base
     scale = max(1.0, abs(s))

@@ -222,7 +222,8 @@ def renormalized(
     # the odd phase term has slope sum_j (1/b_j) s^2/(b_j^2+s^2), at
     # most sum_j min(1/b_j, w^2/b_j^3) over the window
     split = max(spec.tail_start, int((w / spec.tail_c) ** (1.0 / spec.tail_p)) + 1)
-    slope = spec.partial_inverse_power(1, split) + w * w * spec.tail_inverse_power(3, split)[0]
+    tail3 = spec.inverse_power_sum(3) - spec.partial_inverse_power(3, split)
+    slope = spec.partial_inverse_power(1, split) + w * w * tail3
     freq = 0.5 * (abs(theta) + abs(const_part) + slope)
     _, max_limit = _window_and_limit(lam, q, freq)
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam)

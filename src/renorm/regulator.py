@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .quadrature import quad_checked
-from .spectrum import Spectrum, _MAX_TERMS
+from .spectrum import NoConvergence, Spectrum, _MAX_TERMS, _power
 
 __all__ = [
     "UnsupportedRegulatorTail",
@@ -38,10 +38,6 @@ __all__ = [
 
 class UnsupportedRegulatorTail(Exception):
     """No closed-form singular part for this profile/tail combination."""
-
-
-class NoConvergence(Exception):
-    """A truncated sum exceeded its term budget."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +98,10 @@ class DeformedSpectrum:
         return b * math.exp(x)
 
     def value_chunks(self, lo: int, hi: int):
-        """Deformed elements for indices lo..hi in blocks (inf allowed)."""
+        """Exponentially deformed elements for indices lo..hi in blocks (inf allowed)."""
         for block in self.base.chunks(lo, hi):
-            if isinstance(self.reg, SharpCutoff):
-                yield np.where(block <= self.reg.a**2 * self.cutoff, block, np.inf)
-            else:
-                with np.errstate(over="ignore"):
-                    yield block * np.exp(np.sqrt(block / self.cutoff))
+            with np.errstate(over="ignore"):
+                yield block * np.exp(np.sqrt(block / self.cutoff))
 
     # -- sharp-cutoff support ---------------------------------------------
 
@@ -130,27 +123,15 @@ class DeformedSpectrum:
             m -= 1
         return max(m, 0)
 
-    def survivor_chunks(self):
-        """Blocks of the finitely many elements kept by a sharp cutoff.
-
-        Raises NoConvergence, before yielding anything, if more than
-        ``_MAX_TERMS`` elements survive.
-        """
-        if not isinstance(self.reg, SharpCutoff):
-            raise TypeError("only meaningful for the sharp cutoff")
+    def _survivor_sum(self, f, series, radius: float = 0.0) -> float:
+        """``Spectrum._spectral_sum`` over the elements a sharp cutoff
+        keeps: the tail ends at :meth:`sharp_tail_max_index`."""
+        top = self.sharp_tail_max_index()
         spec = self.base
-        thresh = self.reg.a**2 * self.cutoff
-        head = np.asarray(spec.head_values, dtype=float)
-        kept = head[head <= thresh]
-        m = self.sharp_tail_max_index()
-        if kept.size + max(0, m - spec.tail_start + 1) > _MAX_TERMS:
-            raise NoConvergence(
-                "cutoff too large for direct summation of the sharp sum"
-            )
-        if kept.size:
-            yield kept
-        if m >= spec.tail_start:
-            yield from spec.chunks(spec.tail_start, m)
+        return spec._spectral_sum(
+            f, series, radius, upper=max(top, spec.tail_start - 1),
+            thresh=self.reg.a**2 * self.cutoff,
+        )
 
     # -- exponential-profile tail machinery ---------------------------------
 
@@ -183,18 +164,17 @@ class DeformedSpectrum:
     def inverse_sum(self, tol: float = 1e-12) -> float:
         """sum_j 1/beta_j(cutoff), finite for every positive cutoff.
 
-        Sharp cutoff: an exact finite sum of at most ``_MAX_TERMS``
-        terms (NoConvergence beyond).  Exponential profile: a
+        Sharp cutoff: the exact finite sum over the survivors, with the
+        surviving power-law tail in closed form (a difference of two
+        Hurwitz zeta values), so its cost does not grow with the
+        cutoff.  Exponential profile: a
         truncated sum plus the midpoint comparison integral of the tail,
         truncated once the first dropped term falls below tol (the
         sandwich between neighbouring comparison integrals bounds the
         correction error by that term).
         """
         if isinstance(self.reg, SharpCutoff):
-            total = 0.0
-            for block in self.survivor_chunks():
-                total += float(np.sum(1.0 / block))
-            return total
+            return self._survivor_sum(*_power(1))
 
         spec = self.base
         total = 0.0

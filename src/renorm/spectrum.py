@@ -3,19 +3,23 @@
 A spectrum is a positive sequence beta_1, beta_2, ... whose only
 accumulation point is infinity.  Both families implemented here end in
 an exact power law ``c * j**p``; that makes every convergence question
-decidable and every truncation error boundable by a comparison
-integral.
+decidable and every tail sum a closed form: the sums of j**-x over a
+range of the tail are differences of Hurwitz zeta values, taken by
+Euler-Maclaurin.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "DivergentSum",
+    "NoConvergence",
     "Spectrum",
     "PowerLaw",
     "ExplicitWithTail",
@@ -24,13 +28,26 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
-# Hard stop for truncation growth; sums needing more terms than this are
-# refused rather than silently degraded.
+# Hard stop for direct summation; sums needing more direct terms than
+# this are refused rather than silently degraded.
 _MAX_TERMS = 1 << 28
+# Tail indices summed directly before the closed form takes over; from
+# index 257 on five Bernoulli terms give the tail to rounding.
+_HEAD_TERMS = 256
+# B_2k / (2k)! for k = 1..5, and the powers 2k - 1 they go with
+_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160])
+_ODD = np.arange(1.0, 10.0, 2.0)
+# Tail series terms beyond log_4(tail length): since radius/b <= 1/2,
+# the dropped terms then sum to at most 4**-28 = 2**-56 in all.
+_SERIES_TERMS = 28
 
 
 class DivergentSum(Exception):
     """The requested inverse-power sum diverges for this spectrum."""
+
+
+class NoConvergence(Exception):
+    """A truncated sum exceeded its term budget."""
 
 
 class Spectrum:
@@ -115,42 +132,14 @@ class Spectrum:
         return k * self.tail_p > 1.0
 
     def partial_inverse_power(self, k: float, n: int) -> float:
-        """sum_{j<=n} beta_j**-k, summed blockwise."""
-        total = 0.0
-        for block in self.chunks(1, n):
-            total += float(np.sum(block ** (-float(k))))
-        return total
-
-    def tail_inverse_power(self, k: float, start: int) -> tuple[float, float]:
-        """Estimate sum_{j>start} beta_j**-k together with an error bound.
-
-        Requires ``start >= tail_start - 1`` so the whole tail obeys the
-        power rule.  The tail of the decreasing term sequence is
-        replaced by the comparison integral through the cell midpoints;
-        the midpoint rule on unit cells leaves an error controlled by
-        the second derivative of the comparison integrand.
-        """
-        if start < self.tail_start - 1:
-            raise ValueError("tail estimate starts before the power-law region")
-        q = self.tail_p * k
-        if q <= 1.0:
-            raise DivergentSum(
-                f"sum of beta**-{k} diverges: tail exponent {self.tail_p} "
-                f"gives k*p = {q} <= 1"
-            )
-        a = self.tail_c ** float(k)
-        x = start + 0.5
-        est = x ** (1.0 - q) / (a * (q - 1.0))
-        d1 = q * x ** (-q - 1.0) / a
-        d2 = q * (q + 1.0) * x ** (-q - 2.0) / a
-        return est, (d1 + d2) / 24.0
+        """sum_{j<=n} beta_j**-k."""
+        return self._spectral_sum(*_power(k), upper=n)
 
     def inverse_power_sum(self, k: int, tol: float = 1e-10) -> float:
         """sum_j beta_j**-k with absolute error at most tol.
 
-        Truncates at an index n chosen so the comparison-integral bound
-        on the dropped-tail correction falls below tol, then adds the
-        midpoint-integral estimate of the tail.
+        The power-law tail is a Hurwitz zeta value, so the sum is exact
+        to rounding whatever tol asks.
 
         Raises
         ------
@@ -163,17 +152,92 @@ class Spectrum:
             raise DivergentSum(
                 f"order-{k} inverse-power sum diverges for tail exponent {self.tail_p}"
             )
-        n = max(self.tail_start, 64)
-        while True:
-            est, err = self.tail_inverse_power(k, n)
-            if err <= 0.5 * tol:
-                break
-            if n >= _MAX_TERMS:
-                raise ValueError(
-                    f"tolerance {tol:g} needs more than {_MAX_TERMS} terms"
-                )
-            n *= 2
-        return self.partial_inverse_power(k, n) + est
+        return self._spectral_sum(*_power(k))
+
+    # -- summation engine -------------------------------------------------
+
+    def _spectral_sum(
+        self, f, series, radius: float = 0.0, upper=math.inf, thresh: float = math.inf
+    ) -> float:
+        """sum of f(beta_j) over the j <= upper with beta_j <= thresh.
+
+        Elements up to the tail index J = max(256, first j with
+        radius / beta_j <= 1/2), capped at ``upper``, are summed
+        directly and masked by ``thresh``; past J the caller caps
+        ``upper`` at the threshold.  There ``series(b, K)`` gives orders
+        m_i and weights w_i with f(beta) = sum_i w_i (b/beta)**m_i,
+        b = beta_{J+1}, truncated after K terms of an expansion in
+        radius/beta; each power sums in closed form.  K follows from
+        the geometric bound (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with
+        n the tail length (2 (J+1) for an infinite tail, which bounds
+        sum_{j>J} (b/beta_j)**m once m p >= 2), so the result is exact
+        to rounding.
+
+        Raises NoConvergence, before summing, if J exceeds the term
+        budget, and DivergentSum if an infinite tail diverges.
+        """
+        c, p = self.tail_c, self.tail_p
+        far = max(_HEAD_TERMS, self.tail_start - 1)
+        if radius > 0.0:
+            need = (math.log(2.0 * radius) - math.log(c)) / p
+            far = max(far, math.ceil(math.exp(min(need, 100.0))))
+        last = min(far, upper)
+        if last > _MAX_TERMS:
+            raise NoConvergence(
+                f"sum at |s| = {radius:g} needs more than {_MAX_TERMS} direct terms"
+            )
+        total = 0.0
+        for block in self.chunks(1, last):
+            total += float(np.sum(f(block[block <= thresh])))
+        if upper <= far:
+            return total
+        a = far + 1
+        b = c * float(a) ** p
+        count = upper - far if upper < math.inf else 2 * a
+        orders, weights = series(b, math.ceil(math.log(count, 4) + _SERIES_TERMS))
+        x = p * np.asarray(orders, dtype=float)
+        if upper == math.inf and x.min() <= 1.0:
+            raise DivergentSum(f"sum diverges: tail exponent {p} gives exponent {x.min()} <= 1")
+        return total + float(np.dot(weights, _scaled_power_tail(tuple(x.tolist()), a, upper)))
+
+
+def _power(k: float):
+    """The summand beta**-k and its tail expansion, the single power
+    b**-k (b/beta)**k."""
+    return lambda beta: beta ** (-float(k)), lambda b, terms: ((k,), (b ** (-float(k)),))
+
+
+# Cached: the tail sums do not depend on s, and a quadrature asks for
+# the same ones at every node.
+@functools.lru_cache(maxsize=256)
+def _scaled_power_tail(x: tuple, a: int, upper) -> np.ndarray:
+    """a**x * sum_{j=a}^{upper} j**-x, elementwise in x, for a > 256.
+
+    The sum is F_x(a) - F_x(upper + 1) with the Euler-Maclaurin form
+    of the Hurwitz zeta, F_x(a) = a**(1-x)/(x-1) + a**-x/2 + sum_{k<=5}
+    B_2k/(2k)! (x)_{2k-1} a**(-x-2k+1) (DLMF 25.11), accurate to
+    rounding from a = 257 on for every x > 0.  The difference of the
+    leading terms, the integral of t**-x from a to upper + 1, is taken
+    as a L expm1(y)/y with L = ln((upper+1)/a) and y = (1-x) L, which
+    holds through x = 1 without cancellation.  An infinite ``upper``
+    needs every x > 1.
+    """
+    x = np.array(x)
+    # rising factorials (x)_1, (x)_3, ..., (x)_9
+    rising = np.cumprod(x[:, None] + np.arange(9.0), axis=1)[:, ::2]
+
+    def corrections(t: float) -> np.ndarray:
+        return 0.5 + rising @ (_BERNOULLI * t ** -_ODD)
+
+    if upper == math.inf:
+        out = a / (x - 1.0) + corrections(a)
+    else:
+        top = float(upper) + 1.0
+        span = math.log1p((top - a) / a)
+        lead = a * span * special.exprel((1.0 - x) * span)
+        out = lead + corrections(a) - np.exp(-x * span) * corrections(top)
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +269,7 @@ class ExplicitWithTail(Spectrum):
     """Finitely many explicit positive values, then tail_c * j**tail_p.
 
     Lets callers distort a handful of elements without giving up the
-    rigor of the power-law tail bounds.
+    closed-form sums of the power-law tail.
     """
 
     head: tuple[float, ...]

@@ -261,8 +261,10 @@ def criterion_10_kappa_recovery(seed: int) -> CriterionResult:
     kap = constant_part(_HARMONIC, reg, tol=1e-8)
 
     def remainder(lam_cut: float) -> float:
+        # the survivors j <= lam_cut summed term by term, not through
+        # the closed-form tail that inverse_sum uses
         d = DeformedSpectrum(_HARMONIC, reg, lam_cut)
-        return d.inverse_sum() - singular_part(d)
+        return float(np.sum(1.0 / np.arange(1.0, lam_cut + 1.0))) - singular_part(d)
 
     richardson = 2.0 * remainder(2e5) - remainder(1e5)
     err = abs(kap - GAMMA)

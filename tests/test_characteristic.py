@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import atan, exp, inf, log, loggamma, mp, mpf, nsum, pi, quad, sinh, sqrt
 
 import renorm as rn
@@ -108,6 +110,36 @@ def test_phase_divergence_without_summable_reciprocals():
     _, h_small = ch.finite_polar(SQUARES, 1.0, 10**2)
     _, h_large = ch.finite_polar(SQUARES, 1.0, 10**4)
     assert abs(h_large - h_small) < 1e-2
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    p=st.floats(0.6, 2.5),
+    c=st.floats(0.5, 4.0),
+    head=st.lists(st.floats(0.1, 50.0), max_size=3),
+    s=st.floats(-14.0, 14.0),
+    top=st.integers(1, 200_000),
+)
+def test_closed_form_sums_match_direct_sums(p, c, head, s, top):
+    # the direct survivor sums stay here as the oracle of the summation
+    # engine: finite sections up to n = top, and the sharp cutoff whose
+    # threshold is the top-th tail value
+    spec = rn.ExplicitWithTail(head, c, p)
+    r = s / spec.values(top)
+    mod, phase = ch.finite_polar(spec, s, top)
+    assert abs(math.log(mod) + 0.25 * math.fsum(np.log1p(r * r))) <= 1e-12
+    assert abs(phase - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
+    assert ch.finite_polar(spec, -s, top) == (mod, -phase)
+
+    d = rn.DeformedSpectrum(spec, SHARP, c * float(top) ** p)
+    vals = spec.values(len(head) + top + 1)
+    kept = vals[vals <= d.cutoff]
+    assert abs(d.inverse_sum() - math.fsum(1.0 / kept)) <= 1e-12
+    r = s / kept
+    mod, phase = ch.deformed_polar(d, s)
+    assert abs(math.log(mod) + 0.25 * math.fsum(np.log1p(r * r))) <= 1e-12
+    assert abs(phase - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
+    assert ch.deformed_polar(d, -s) == (mod, -phase)
 
 
 def test_quadrature_oracle_matches():

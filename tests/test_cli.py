@@ -2,6 +2,8 @@
 
 import cmath
 import json
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +131,25 @@ def test_oscillation_budget_exit_3(tmp_path):
     result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
     assert result.exit_code == 3
     assert "nodes" in result.output
+
+
+def test_unbounded_n_grid_finishes(tmp_path):
+    # finite sections up to n = 1e300 are closed-form sums, so both
+    # commands end promptly: phi with finite values, z with a value or
+    # the documented oscillation-budget failure
+    cfg = _write_config(tmp_path, {"n_grid": {"min": 10, "max": 1e300, "count": 3}})
+    t0 = time.perf_counter()
+    result = RUNNER.invoke(main, ["--config", str(cfg), "phi"])
+    assert result.exit_code == 0, result.output
+    _, rows = tables.read_csv(tmp_path / "out" / "phi_scan.csv")
+    assert max(r[1] for r in rows if r[0] == "finite") >= 1e299
+    assert all(math.isfinite(v) for r in rows for v in r[5:])
+    result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
+    assert result.exit_code in (0, 3), result.output
+    if result.exit_code == 3:
+        assert "nodes across the window" in result.output
+    assert "Traceback" not in result.output
+    assert time.perf_counter() - t0 < 20.0
 
 
 def test_phi_scan_structure(tmp_path):

@@ -5,10 +5,11 @@ import math
 import time
 
 import pytest
-from mpmath import harmonic, mp, zeta
+from mpmath import harmonic, im, loggamma, mp, re, zeta
 from scipy import special
 
 import renorm as rn
+from renorm import characteristic as ch
 
 mp.dps = 40
 
@@ -223,13 +224,20 @@ def test_remainder_vanishes_with_cutoff():
     assert gaps[-1] < 1e-4
 
 
-def test_sharp_sum_budget_is_a_numeric_failure():
-    # 1e12 survivors exceed the direct-summation budget; the count is
-    # known from the tail index, so nothing is summed before raising
-    d = rn.DeformedSpectrum(HARMONIC, SHARP, 1e12)
+def test_sharp_sums_at_huge_cutoff_match_closed_forms():
+    # 1e12 survivors: the surviving tail is summed in closed form, so the
+    # cost does not grow with the cutoff; the references are H_M and the
+    # log-Gamma forms of prod_{j<=M} (1 - i s/j)
+    top = 10**12
+    d = rn.DeformedSpectrum(HARMONIC, SHARP, float(top))
     t0 = time.perf_counter()
-    with pytest.raises(rn.NoConvergence):
-        d.inverse_sum()
+    assert abs(d.inverse_sum() - float(harmonic(top))) <= 1e-12
+    for s in (0.3, 1.3, 4.0):
+        mod, phase = ch.deformed_polar(d, s)
+        upper = loggamma(top + 1 + 1j * s) - loggamma(1 + 1j * s)
+        log_mod = -0.25 * 2 * (re(upper) - loggamma(top + 1))
+        assert abs(math.log(mod) - float(log_mod)) <= 1e-12
+        assert abs(phase - float(0.5 * im(upper))) <= 1e-12
     assert time.perf_counter() - t0 < 1.0
 
 
