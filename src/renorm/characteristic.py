@@ -44,7 +44,7 @@ def finite_polar(spec: Spectrum, s: float, n: int) -> tuple[float, float]:
     """Modulus and (continuous, unwrapped) phase of the n-factor product."""
     if n < 1:
         raise ValueError("need at least one factor")
-    return _polar(functools.partial(spec._spectral_sum, upper=n), s)
+    return _polar(spec._spectral_sum(*_polar_pair(s), abs(s), upper=n))
 
 
 def finite(spec: Spectrum, s: float, n: int) -> complex:
@@ -99,29 +99,69 @@ def finite_by_quadrature(
     return result
 
 
-def _taylor(s: float, head, e: int, w: float):
-    """The summand head(s/beta) of a spectral sum and its tail expansion
-    w * sum_{k>=0} (-1)**k (s/beta)**m / m with m = 2k + e."""
+def _log1p_and(s: float, second, e: int):
+    """The summand rows log1p(r**2) and second(r), r = s/beta, of a
+    spectral sum, and their tail expansions: the Taylor series
+    sum_{k>=0} (-1)**k w r**m / m with (w, m) = (2, 2k + 2) for the
+    first row and (1, 2k + e) for the second."""
+
+    def rows(beta):
+        r = s / beta
+        return np.array((np.log1p(r * r), second(r)))
 
     def series(b, terms):
-        k = np.arange(terms)
-        m = 2 * k + e
-        return m, w * (-1.0) ** k * (s / b) ** m / m
+        orders, m, signed = _taylor_terms(e, terms)
+        return orders, signed * (s / b) ** m / m
 
-    return lambda beta: head(s / beta), series
-
-
-def _log_modulus(s: float):
-    """log1p((s/beta)**2)."""
-    return _taylor(s, lambda r: np.log1p(r * r), 2, 2.0)
+    return rows, series
 
 
-def _polar(total, s: float) -> tuple[float, float]:
-    """Modulus and phase of a product whose log1p and arctan sums the
-    summation route ``total(head, series, radius)`` takes."""
-    log_mod = total(*_log_modulus(s), abs(s))
-    phase = total(*_taylor(s, np.arctan, 1, 1.0), abs(s))
+@functools.lru_cache(maxsize=64)
+def _taylor_terms(e: int, terms: int):
+    """The orders of :func:`_log1p_and`'s series, as a tuple of rows and
+    as an array, and its signed weights w (-1)**k."""
+    k = np.arange(terms)
+    m = np.array((2 * k + 2, 2 * k + e))
+    signed = np.array([[2.0], [1.0]]) * (-1.0) ** k
+    m.flags.writeable = signed.flags.writeable = False
+    return tuple(map(tuple, m.tolist())), m, signed
+
+
+def _polar_pair(s: float):
+    """log1p((s/beta)**2) and arctan(s/beta)."""
+    return _log1p_and(s, np.arctan, 1)
+
+
+def _polar(sums) -> tuple[float, float]:
+    """Modulus and phase of a product from its log1p and arctan sums."""
+    log_mod, phase = sums
     return math.exp(-0.25 * log_mod), 0.5 * phase
+
+
+# Node memos.  The quadratures of one command meet the same s-nodes
+# again (the flow and the regularized transform at one cutoff, the
+# renormalized transform at each theta), so the sums that depend on
+# neither theta nor the constant part are kept; cli clears them when a
+# subcommand starts.
+_MEMO_SIZE = 1 << 13
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _renormalized_sums(spec: Spectrum, s: float) -> tuple[float, float]:
+    """sum_j log1p((s/beta_j)**2) and sum_j (s/beta_j - arctan(s/beta_j))."""
+    return spec._spectral_sum(*_log1p_and(s, lambda r: r - np.arctan(r), 3), abs(s))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _sharp_polar(d: DeformedSpectrum, s: float) -> tuple[float, float]:
+    """Modulus and phase of the product over a sharp cutoff's survivors."""
+    return _polar(d._survivor_sum(*_polar_pair(s), abs(s)))
+
+
+def cache_clear() -> None:
+    """Empty the node memos, so that no value outlives a command."""
+    _renormalized_sums.cache_clear()
+    _sharp_polar.cache_clear()
 
 
 def _check_arguments(s: float, tol: float) -> None:
@@ -141,7 +181,7 @@ def modulus_limit(spec: Spectrum, s: float, tol: float = 1e-10) -> float:
     if s == 0.0:
         return 1.0
     _check_arguments(s, tol)
-    return math.exp(-0.25 * spec._spectral_sum(*_log_modulus(s), abs(s)))
+    return math.exp(-0.25 * _renormalized_sums(spec, s)[0])
 
 
 def renormalized_phase(
@@ -158,8 +198,7 @@ def renormalized_phase(
     if s == 0.0:
         return 0.0
     _check_arguments(s, tol)
-    v_minus_atan = _taylor(s, lambda r: r - np.arctan(r), 3, 1.0)
-    return -s * const_part + spec._spectral_sum(*v_minus_atan, abs(s))
+    return -s * const_part + _renormalized_sums(spec, s)[1]
 
 
 def renormalized_polar(
@@ -202,7 +241,7 @@ def deformed_polar(
     if s == 0.0:
         return 1.0, 0.0
     if isinstance(d.reg, SharpCutoff):
-        return _polar(d._survivor_sum, s)
+        return _sharp_polar(d, s)
 
     spec = d.base
     scale = max(1.0, abs(s))

@@ -8,6 +8,7 @@ error, 3 numeric failure (quadrature, oscillation or term budget).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -39,19 +40,36 @@ class _NumericFailure(click.ClickException):
     exit_code = 3
 
 
+_CONFIG_ERRORS = (ConfigError, DivergentSum, UnsupportedRegulatorTail, ValueError)
+_NUMERIC_ERRORS = (QuadratureFailure, OscillationBudgetExceeded, NoConvergence)
+
+
 def _guard(fn):
+    """Map the library's failures to exit codes 2 and 3, with a message
+    that starts with the subcommand."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except ConfigError as e:
-            raise _ConfigFailure(str(e)) from e
-        except (DivergentSum, UnsupportedRegulatorTail, ValueError) as e:
-            raise _ConfigFailure(str(e)) from e
-        except (QuadratureFailure, OscillationBudgetExceeded, NoConvergence) as e:
-            raise _NumericFailure(str(e)) from e
+        except _CONFIG_ERRORS as e:
+            raise _ConfigFailure(f"{fn.__name__}: {e}") from e
+        except _NUMERIC_ERRORS as e:
+            raise _NumericFailure(f"{fn.__name__}: {e}") from e
 
     return wrapper
+
+
+@contextlib.contextmanager
+def _stage(name: str, **point):
+    """Name the stage, and the grid point if any, in a failure raised
+    inside."""
+    try:
+        yield
+    except _CONFIG_ERRORS + _NUMERIC_ERRORS as e:
+        at = ", ".join(f"{k} = {v:.6g}" for k, v in point.items())
+        e.args = (f"{name} at {at}: {e}" if at else f"{name}: {e}",)
+        raise
 
 
 def _load(ctx: click.Context) -> RunConfig:
@@ -99,7 +117,8 @@ def _renormalized_constant(cfg: RunConfig) -> float:
         raise DivergentSum(
             f"no renormalized limit: sum of beta**-2 diverges for tail exponent {spec.tail_p}"
         )
-    return constant_part(spec, cfg.regulator, tol=cfg.tol)
+    with _stage("kappa"):
+        return constant_part(spec, cfg.regulator, tol=cfg.tol)
 
 
 def _singular_description(cfg: RunConfig) -> str:
@@ -130,6 +149,7 @@ def _singular_description(cfg: RunConfig) -> str:
 def main(ctx, config, out, fmt, seed, threads):
     """Evaluate regularized Gaussian product functionals and their
     renormalized limits, and emit data tables."""
+    ch.cache_clear()  # node values live for one subcommand
     ctx.obj = {"config": config, "out": out, "fmt": fmt, "seed": seed, "threads": threads}
 
 
@@ -178,15 +198,17 @@ def phi(ctx):
     def rows_for_s(s: float):
         out = []
         for n in n_values:
-            mod, phase = ch.finite_polar(spec, s, n)
+            with _stage("finite", s=s, n=n):
+                mod, phase = ch.finite_polar(spec, s, n)
             val = cmath.rect(mod, phase)
             out.append(("finite", n, "", theta, s, val.real, val.imag, mod, phase))
         for lam_cut in lam_cuts:
-            d = DeformedSpectrum(spec, reg, lam_cut)
-            mod, phase = ch.flow_polar(d, s, theta)
+            with _stage("flow", s=s, Lambda=lam_cut):
+                mod, phase = ch.flow_polar(DeformedSpectrum(spec, reg, lam_cut), s, theta)
             val = cmath.rect(mod, phase)
             out.append(("flow", "", lam_cut, theta, s, val.real, val.imag, mod, phase))
-        mod, phase = ch.renormalized_polar(spec, kap, s, theta)
+        with _stage("renormalized", s=s):
+            mod, phase = ch.renormalized_polar(spec, kap, s, theta)
         val = cmath.rect(mod, phase)
         out.append(("renormalized", "", "", theta, s, val.real, val.imag, mod, phase))
         return out
@@ -210,24 +232,26 @@ def z(ctx):
     n_values = cfg.n_grid.geometric_ints()
 
     def decay_row(n: int):
-        return (n, pt.finite(spec, cfg.lam, n, cfg.quadrature),
-                pt.finite_bound(spec, cfg.lam, n))
-
-    decay = _pmap(decay_row, n_values, threads)
-    path1 = _emit(cfg, "z_decay", ["n", "z_n", "bound"], decay)
+        with _stage("z_decay", n=n):
+            return (n, pt.finite(spec, cfg.lam, n, cfg.quadrature),
+                    pt.finite_bound(spec, cfg.lam, n))
 
     def theta_row(theta: float):
-        return (theta, pt.renormalized(spec, kap, cfg.lam, theta, cfg.quadrature))
-
-    profile = _pmap(theta_row, cfg.theta_grid.linear(), threads)
-    path2 = _emit(cfg, "z_theta", ["theta", "z_renormalized"], profile)
+        with _stage("z_theta", theta=theta):
+            return (theta, pt.renormalized(spec, kap, cfg.lam, theta, cfg.quadrature))
 
     def mc_row(n: int):
-        est, se = pt.mc_estimate(spec, cfg.lam, n, cfg.mc)
+        with _stage("z_mc", n=n):
+            est, se = pt.mc_estimate(spec, cfg.lam, n, cfg.mc)
         return (n, est, se)
 
+    # every row first, so that a failure leaves no table behind
+    decay = _pmap(decay_row, n_values, threads)
+    profile = _pmap(theta_row, cfg.theta_grid.linear(), threads)
     mc_ns = [n for n in n_values if n <= 64] or [4]
     mc_rows = _pmap(mc_row, mc_ns, threads)
+    path1 = _emit(cfg, "z_decay", ["n", "z_n", "bound"], decay)
+    path2 = _emit(cfg, "z_theta", ["theta", "z_renormalized"], profile)
     path3 = _emit(cfg, "z_mc", ["n", "estimate", "std_error"], mc_rows)
     click.echo(f"wrote {path1}")
     click.echo(f"wrote {path2}")
@@ -244,30 +268,35 @@ def flow(ctx):
     threads = ctx.obj["threads"]
     spec, reg, theta, s = cfg.spectrum, cfg.regulator, cfg.theta, cfg.s
     kap = _renormalized_constant(cfg)
-    phi_ref = ch.renormalized(spec, kap, s, theta)
-    z_ref = pt.renormalized(spec, kap, cfg.lam, theta, cfg.quadrature)
+    with _stage("phi_renormalized", s=s):
+        phi_ref = ch.renormalized(spec, kap, s, theta)
+    with _stage("z_renormalized"):
+        z_ref = pt.renormalized(spec, kap, cfg.lam, theta, cfg.quadrature)
     lam_cuts = cfg.lambda_grid.geometric()
 
     def phi_row(lam_cut: float):
-        d = DeformedSpectrum(spec, reg, lam_cut)
-        val = ch.flow(d, s, theta)
+        with _stage("flow_phi", Lambda=lam_cut):
+            val = ch.flow(DeformedSpectrum(spec, reg, lam_cut), s, theta)
         return (lam_cut, s, theta, val.real, val.imag, abs(val - phi_ref))
 
     def z_row(lam_cut: float):
         d = DeformedSpectrum(spec, reg, lam_cut)
-        val = pt.flow(d, cfg.lam, theta, cfg.quadrature)
-        raw = pt.regularized(d, cfg.lam, cfg.quadrature)
+        with _stage("z_flow", Lambda=lam_cut):
+            val = pt.flow(d, cfg.lam, theta, cfg.quadrature)
+        with _stage("z_regularized", Lambda=lam_cut):
+            raw = pt.regularized(d, cfg.lam, cfg.quadrature)
         return (lam_cut, cfg.lam, theta, val, z_ref, abs(val - z_ref), raw)
 
+    # every row first, so that a failure leaves no table behind
+    phi_rows = _pmap(phi_row, lam_cuts, threads)
+    z_rows = _pmap(z_row, lam_cuts, threads)
     path1 = _emit(
-        cfg, "flow_phi",
-        ["Lambda", "s", "theta", "re", "im", "distance_to_limit"],
-        _pmap(phi_row, lam_cuts, threads),
+        cfg, "flow_phi", ["Lambda", "s", "theta", "re", "im", "distance_to_limit"], phi_rows
     )
     path2 = _emit(
         cfg, "flow_z",
         ["Lambda", "lambda", "theta", "z_flow", "z_renormalized", "abs_error", "z_regularized"],
-        _pmap(z_row, lam_cuts, threads),
+        z_rows,
     )
     click.echo(f"wrote {path1}")
     click.echo(f"wrote {path2}")
@@ -286,6 +315,7 @@ def diagrams(ctx, order):
     if not 0 <= order <= MAX_ORDER:
         raise ConfigError(f"order must lie in [0, {MAX_ORDER}]")
     spec, theta = cfg.spectrum, cfg.theta
+    kap = _renormalized_constant(cfg)  # before any table is written
 
     moments = []
     for k in range(order + 1):
@@ -305,7 +335,6 @@ def diagrams(ctx, order):
     path = _emit(cfg, "renorm_identity", ["order", "verdict"], verdicts)
     click.echo(f"wrote {path}")
 
-    kap = _renormalized_constant(cfg)
     shift_value = (kap - theta) / 2.0
     loop_values = [
         spec.inverse_power_sum(m, cfg.tol) if spec.converges(m) else dg.INFINITE

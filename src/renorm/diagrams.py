@@ -404,10 +404,15 @@ def shifted_moment(op: str, n: int) -> MomentPolynomial:
     Binomial expansion with exact coefficients; zeta stays symbolic.
     """
     base = _moment_op(op)
+    return _shifted([base(j) for j in range(n + 1)], n)
+
+
+def _shifted(moments, n: int) -> MomentPolynomial:
+    """Moment of (source - zeta)^n from the moments[j] of source^j, j <= n."""
     acc = MomentPolynomial.zero()
     for j in range(n + 1):
         coef = Fraction((-1) ** (n - j) * math.comb(n, j))
-        acc = acc + base(j) * MomentPolynomial({(n - j, ()): coef})
+        acc = acc + moments[j] * MomentPolynomial({(n - j, ()): coef})
     return acc
 
 
@@ -417,16 +422,21 @@ def renorm_identity_holds(n: int) -> bool:
     The full moment of (source - zeta)^n equals the tadpole-free moment
     of (source + xi - zeta)^n once xi = b1/2: all tadpole content is
     absorbed into the shift, so only the finite combination xi - zeta
-    survives.  Returns the verdict of exact polynomial equality.
+    survives.  Returns the verdict of exact polynomial equality.  Each
+    moment is built once, and the powers of xi - zeta by one product
+    each.
     """
     if not 0 <= n <= 20:
         raise ValueError("identity check limited to n <= 20")
-    lhs = shifted_moment("H", n)
+    moments = [wick_moment(j) for j in range(n + 1)]
     xi_minus_zeta = MomentPolynomial.loop(1) * Fraction(1, 2) - MomentPolynomial.shift()
+    powers = [MomentPolynomial.one()]
+    for _ in range(n):
+        powers.append(powers[-1] * xi_minus_zeta)
     rhs = MomentPolynomial.zero()
     for i in range(n + 1):
-        rhs = rhs + tadpole_free_moment(i) * math.comb(n, i) * xi_minus_zeta ** (n - i)
-    return lhs == rhs
+        rhs = rhs + moments[i].drop_tadpoles() * math.comb(n, i) * powers[n - i]
+    return _shifted(moments, n) == rhs
 
 
 def series_coefficients(

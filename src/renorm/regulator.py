@@ -14,6 +14,7 @@ profile- and scale-dependent constants live in the constant part.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,6 +110,11 @@ class DeformedSpectrum:
         """Largest tail index surviving a sharp cutoff (0 if none)."""
         if not isinstance(self.reg, SharpCutoff):
             raise TypeError("only meaningful for the sharp cutoff")
+        return self._sharp_top
+
+    @functools.cached_property
+    def _sharp_top(self) -> int:
+        # once per instance: every survivor sum asks for it
         spec = self.base
         thresh = self.reg.a**2 * self.cutoff
         first = spec.tail_start
@@ -123,7 +129,7 @@ class DeformedSpectrum:
             m -= 1
         return max(m, 0)
 
-    def _survivor_sum(self, f, series, radius: float = 0.0) -> float:
+    def _survivor_sum(self, f, series, radius: float = 0.0) -> tuple[float, ...]:
         """``Spectrum._spectral_sum`` over the elements a sharp cutoff
         keeps: the tail ends at :meth:`sharp_tail_max_index`."""
         top = self.sharp_tail_max_index()
@@ -174,7 +180,7 @@ class DeformedSpectrum:
         correction error by that term).
         """
         if isinstance(self.reg, SharpCutoff):
-            return self._survivor_sum(*_power(1))
+            return self._survivor_sum(*_power(1))[0]
 
         spec = self.base
         total = 0.0

@@ -34,6 +34,8 @@ _MAX_TERMS = 1 << 28
 # Tail indices summed directly before the closed form takes over; from
 # index 257 on five Bernoulli terms give the tail to rounding.
 _HEAD_TERMS = 256
+# Direct ranges up to this length are built once per spectrum and kept.
+_CACHED_HEAD = 1 << 12
 # B_2k / (2k)! for k = 1..5, and the powers 2k - 1 they go with
 _BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160])
 _ODD = np.arange(1.0, 10.0, 2.0)
@@ -133,7 +135,7 @@ class Spectrum:
 
     def partial_inverse_power(self, k: float, n: int) -> float:
         """sum_{j<=n} beta_j**-k."""
-        return self._spectral_sum(*_power(k), upper=n)
+        return self._spectral_sum(*_power(k), upper=n)[0]
 
     def inverse_power_sum(self, k: int, tol: float = 1e-10) -> float:
         """sum_j beta_j**-k with absolute error at most tol.
@@ -152,26 +154,30 @@ class Spectrum:
             raise DivergentSum(
                 f"order-{k} inverse-power sum diverges for tail exponent {self.tail_p}"
             )
-        return self._spectral_sum(*_power(k))
+        return self._spectral_sum(*_power(k))[0]
 
     # -- summation engine -------------------------------------------------
 
     def _spectral_sum(
         self, f, series, radius: float = 0.0, upper=math.inf, thresh: float = math.inf
-    ) -> float:
-        """sum of f(beta_j) over the j <= upper with beta_j <= thresh.
+    ) -> tuple[float, ...]:
+        """Row sums of f(beta_j) over the j <= upper with beta_j <= thresh.
 
-        Elements up to the tail index J = max(256, first j with
-        radius / beta_j <= 1/2), capped at ``upper``, are summed
-        directly and masked by ``thresh``; past J the caller caps
-        ``upper`` at the threshold.  There ``series(b, K)`` gives orders
-        m_i and weights w_i with f(beta) = sum_i w_i (b/beta)**m_i,
-        b = beta_{J+1}, truncated after K terms of an expansion in
-        radius/beta; each power sums in closed form.  K follows from
-        the geometric bound (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with
-        n the tail length (2 (J+1) for an infinite tail, which bounds
-        sum_{j>J} (b/beta_j)**m once m p >= 2), so the result is exact
-        to rounding.
+        ``f`` maps a block of elements to an array of shape (rows,
+        len(block)), one row per summand, so several sums over the same
+        elements share one pass.  Elements up to the tail index J =
+        max(256, first j with radius / beta_j <= 1/2), capped at
+        ``upper``, are summed directly, block by block, and masked by
+        ``thresh``; past J the caller caps ``upper`` at the threshold.
+        There ``series(b, K)`` gives the orders m, a tuple of rows of K
+        numbers, and the weights w, an array of shape (rows, K), with
+        row i of f(beta) = sum_k w_ik (b/beta)**m_ik, b = beta_{J+1},
+        truncated after K terms of an expansion in radius/beta; each
+        distinct order is summed once, in closed form, for every row
+        that uses it.  K follows from the geometric bound
+        (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with n the tail length
+        (2 (J+1) for an infinite tail, which bounds sum_{j>J}
+        (b/beta_j)**m once m p >= 2), so each sum is exact to rounding.
 
         Raises NoConvergence, before summing, if J exceeds the term
         budget, and DivergentSum if an infinite tail diverges.
@@ -187,30 +193,58 @@ class Spectrum:
                 f"sum at |s| = {radius:g} needs more than {_MAX_TERMS} direct terms"
             )
         total = 0.0
-        for block in self.chunks(1, last):
-            total += float(np.sum(f(block[block <= thresh])))
+        for block in _head(self, last) if last <= _CACHED_HEAD else self.chunks(1, last):
+            total = total + np.add.reduce(f(block[block <= thresh]), axis=1)
         if upper <= far:
-            return total
+            return tuple(total.tolist())
         a = far + 1
         b = c * float(a) ** p
         count = upper - far if upper < math.inf else 2 * a
         orders, weights = series(b, math.ceil(math.log(count, 4) + _SERIES_TERMS))
-        x = p * np.asarray(orders, dtype=float)
-        if upper == math.inf and x.min() <= 1.0:
-            raise DivergentSum(f"sum diverges: tail exponent {p} gives exponent {x.min()} <= 1")
-        return total + float(np.dot(weights, _scaled_power_tail(tuple(x.tolist()), a, upper)))
+        tail = _tail_sums(orders, p, a, upper)
+        return tuple(
+            t + float(np.dot(w, row)) for t, w, row in zip(total.tolist(), weights, tail)
+        )
+
+
+# Kept between calls: every sum over a spectrum sums the same leading
+# elements, most often the first 256.
+@functools.lru_cache(maxsize=64)
+def _head(spec: Spectrum, last: int) -> tuple[np.ndarray, ...]:
+    """Elements 1..last in the blocks of :meth:`Spectrum.chunks`; at
+    least one block, so that the row sums of an empty range are zeros."""
+    blocks = tuple(spec.chunks(1, last)) or (np.empty(0),)
+    for block in blocks:
+        block.flags.writeable = False  # shared by every caller through the cache
+    return blocks
 
 
 def _power(k: float):
-    """The summand beta**-k and its tail expansion, the single power
-    b**-k (b/beta)**k."""
-    return lambda beta: beta ** (-float(k)), lambda b, terms: ((k,), (b ** (-float(k)),))
+    """The summand beta**-k, as a single row, and its tail expansion,
+    the single power b**-k (b/beta)**k."""
+    return (
+        lambda beta: (beta ** (-float(k)))[None],
+        lambda b, terms: (((k,),), np.array([[b ** (-float(k))]])),
+    )
 
 
 # Cached: the tail sums do not depend on s, and a quadrature asks for
 # the same ones at every node.
 @functools.lru_cache(maxsize=256)
-def _scaled_power_tail(x: tuple, a: int, upper) -> np.ndarray:
+def _tail_sums(orders: tuple, p: float, a: int, upper) -> np.ndarray:
+    """a**x * sum_{j=a}^{upper} j**-x at x = p m for the orders m of
+    each row; an order shared by rows is summed once."""
+    distinct = sorted({m for row in orders for m in row})
+    x = p * np.array(distinct, dtype=float)
+    if upper == math.inf and x[0] <= 1.0:
+        raise DivergentSum(f"sum diverges: tail exponent {p} gives exponent {x[0]} <= 1")
+    index = {m: i for i, m in enumerate(distinct)}
+    out = _scaled_power_tail(x, a, upper)[[[index[m] for m in row] for row in orders]]
+    out.flags.writeable = False  # shared by every caller through the cache
+    return out
+
+
+def _scaled_power_tail(x: np.ndarray, a: int, upper) -> np.ndarray:
     """a**x * sum_{j=a}^{upper} j**-x, elementwise in x, for a > 256.
 
     The sum is F_x(a) - F_x(upper + 1) with the Euler-Maclaurin form
@@ -222,7 +256,6 @@ def _scaled_power_tail(x: tuple, a: int, upper) -> np.ndarray:
     holds through x = 1 without cancellation.  An infinite ``upper``
     needs every x > 1.
     """
-    x = np.array(x)
     # rising factorials (x)_1, (x)_3, ..., (x)_9
     rising = np.cumprod(x[:, None] + np.arange(9.0), axis=1)[:, ::2]
 
@@ -230,14 +263,11 @@ def _scaled_power_tail(x: tuple, a: int, upper) -> np.ndarray:
         return 0.5 + rising @ (_BERNOULLI * t ** -_ODD)
 
     if upper == math.inf:
-        out = a / (x - 1.0) + corrections(a)
-    else:
-        top = float(upper) + 1.0
-        span = math.log1p((top - a) / a)
-        lead = a * span * special.exprel((1.0 - x) * span)
-        out = lead + corrections(a) - np.exp(-x * span) * corrections(top)
-    out.flags.writeable = False  # shared by every caller through the cache
-    return out
+        return a / (x - 1.0) + corrections(a)
+    top = float(upper) + 1.0
+    span = math.log1p((top - a) / a)
+    lead = a * span * special.exprel((1.0 - x) * span)
+    return lead + corrections(a) - np.exp(-x * span) * corrections(top)
 
 
 @dataclass(frozen=True)

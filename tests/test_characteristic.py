@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import atan, exp, inf, log, loggamma, mp, mpf, nsum, pi, quad, sinh, sqrt
+from mpmath import atan, euler, exp, inf, log, loggamma, mp, mpc, mpf, nsum, pi, quad, sinh, sqrt
 
 import renorm as rn
 from renorm import characteristic as ch
@@ -140,6 +140,62 @@ def test_closed_form_sums_match_direct_sums(p, c, head, s, top):
     assert abs(math.log(mod) + 0.25 * math.fsum(np.log1p(r * r))) <= 1e-12
     assert abs(phase - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
     assert ch.deformed_polar(d, -s) == (mod, -phase)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([1.0, 2.0]),
+    c=st.floats(0.5, 4.0),
+    head=st.lists(st.floats(0.1, 50.0), max_size=3),
+    s=st.floats(-14.0, 14.0),
+)
+def test_renormalized_pair_matches_gamma_closed_forms(p, c, head, s):
+    # sum_j [log(1 - i r_j) + i r_j], r_j = s/beta_j, is half the log1p
+    # sum plus i times the r - arctan r sum.  Over the whole tail c j**p
+    # it is log(e**(gamma z) / Gamma(1 - z)) with z = i s/c for p = 1,
+    # and log(sin(pi w) / (pi w)) + i zeta(2) s/c with w**2 = i s/c for
+    # p = 2; the tail's first len(head) factors are divided out and the
+    # explicit head's factors multiplied in
+    spec = rn.ExplicitWithTail(head, c, p)
+    y = mpf(s) / c
+    if p == 1.0:
+        z = mpc(0, y)
+        total = euler * z - loggamma(1 - z)
+    else:
+        w = sqrt(mpc(0, y))
+        total = -loggamma(1 + w) - loggamma(1 - w) + mpc(0, y) * pi**2 / 6
+
+    def factor(r):
+        return log(1 - mpc(0, r)) + mpc(0, r)
+
+    total -= sum(factor(y / mpf(j) ** int(p)) for j in range(1, len(head) + 1))
+    total += sum(factor(mpf(s) / h) for h in head)
+    assert abs(ch.modulus_limit(spec, s) - float(exp(-total.real / 2))) <= 1e-12
+    assert abs(ch.renormalized_phase(spec, 0.0, s) - float(total.imag)) <= 1e-12
+
+
+def test_node_memos_are_pure():
+    # a memo hit returns the bits a fresh evaluation computes
+    spec = rn.ExplicitWithTail([0.7, 2.5], 4.0, 1.0)
+    d = rn.DeformedSpectrum(spec, rn.SharpCutoff(2.0), 1e4)
+    nodes = [-3.7, -0.4, 0.9, 2.2, 11.0]
+
+    def values():
+        return [
+            (ch.deformed_polar(d, s), ch.modulus_limit(spec, s),
+             ch.renormalized_phase(spec, 0.3, s))
+            for s in nodes
+        ]
+
+    ch.cache_clear()
+    fresh = values()
+    hits = ch._sharp_polar.cache_info().hits
+    memo = values()
+    assert ch._sharp_polar.cache_info().hits == hits + len(nodes)
+    ch.cache_clear()
+    assert fresh == memo == values()
+    for s, (polar, _, _) in zip(nodes, fresh):
+        assert polar == ch._polar(d._survivor_sum(*ch._polar_pair(s), abs(s)))
 
 
 def test_quadrature_oracle_matches():

@@ -133,6 +133,55 @@ def test_oscillation_budget_exit_3(tmp_path):
     assert "nodes" in result.output
 
 
+@pytest.mark.parametrize(
+    "command, overrides, stage",
+    [
+        # sharp p = 0.7: flow_phi succeeds, then z_regularized at the
+        # largest cutoff needs more nodes than the budget
+        ("flow", {"spectrum": {"family": "power_law", "c": 1.0, "p": 0.7},
+                  "lambda_grid": {"min": 1e3, "max": 1e5, "count": 3}},
+         "z_regularized at Lambda = 100000"),
+        # z_decay succeeds, then the theta row oscillates too fast
+        ("z", {"theta_grid": {"min": 0.0, "max": 1e4, "count": 2}}, "z_theta at theta = 10000"),
+    ],
+)
+def test_numeric_failure_leaves_no_table(tmp_path, command, overrides, stage):
+    cfg = _write_config(tmp_path, overrides)
+    result = RUNNER.invoke(main, ["--config", str(cfg), command])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"Error: {command}: {stage}: " in result.output
+    assert list((tmp_path / "out").glob("*")) == []
+
+
+def test_thread_count_does_not_change_tables(tmp_path):
+    cfg = _write_config(tmp_path, {})
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        for command in ("flow", "z"):
+            result = RUNNER.invoke(
+                main, ["--config", str(cfg), "--out", str(out), "--threads", threads, command]
+            )
+            assert result.exit_code == 0, result.output
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 5
+    assert outputs[0] == outputs[1]
+
+
+def test_node_memos_live_for_one_subcommand(tmp_path):
+    from renorm import characteristic as ch
+
+    cfg = _write_config(tmp_path, {})
+    assert RUNNER.invoke(main, ["--config", str(cfg), "flow"]).exit_code == 0
+    assert ch._sharp_polar.cache_info().currsize > 0
+    assert ch._renormalized_sums.cache_info().currsize > 0
+    assert RUNNER.invoke(main, ["--config", str(cfg), "spectrum"]).exit_code == 0
+    assert ch._sharp_polar.cache_info().currsize == 0
+    assert ch._renormalized_sums.cache_info().currsize == 0
+
+
 def test_unbounded_n_grid_finishes(tmp_path):
     # finite sections up to n = 1e300 are closed-form sums, so both
     # commands end promptly: phi with finite values, z with a value or
