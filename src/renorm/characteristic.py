@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .quadrature import QuadratureConfig, QuadratureFailure, quad_checked
-from .regulator import DeformedSpectrum, NoConvergence, SharpCutoff, singular_part
-from .spectrum import Spectrum, _MAX_TERMS
+from .regulator import DeformedSpectrum, singular_part
+from .spectrum import Spectrum, _tail_sums
 
 __all__ = [
     "finite",
@@ -153,15 +153,17 @@ def _renormalized_sums(spec: Spectrum, s: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _sharp_polar(d: DeformedSpectrum, s: float) -> tuple[float, float]:
-    """Modulus and phase of the product over a sharp cutoff's survivors."""
-    return _polar(d._survivor_sum(*_polar_pair(s), abs(s)))
+def _deformed_polar(d: DeformedSpectrum, s: float) -> tuple[float, float]:
+    """Modulus and phase of the product over a deformed spectrum."""
+    return _polar(d._deformed_sum(*_polar_pair(s), abs(s)))
 
 
 def cache_clear() -> None:
-    """Empty the node memos, so that no value outlives a command."""
+    """Empty the node memos and the tail-sum cache, so that no value
+    outlives a command."""
     _renormalized_sums.cache_clear()
-    _sharp_polar.cache_clear()
+    _deformed_polar.cache_clear()
+    _tail_sums.cache_clear()
 
 
 def _check_arguments(s: float, tol: float) -> None:
@@ -231,40 +233,18 @@ def deformed_polar(
 ) -> tuple[float, float]:
     """Modulus and phase of the full product over a deformed spectrum.
 
-    Sharp cutoff: the surviving factors form a finite, exact product
-    (dropped factors contribute 1); its surviving power-law tail is
-    summed in closed form, so the cost does not grow with the cutoff.
-    Exponential profile: the sums are
-    truncated where the first dropped reciprocal falls below tol and
-    completed by midpoint comparison integrals.
+    Exact to rounding, so tol is only checked, at a cost that does not
+    grow with large cutoffs.  Sharp cutoff: the surviving factors form a
+    finite product (dropped factors contribute 1) whose surviving
+    power-law tail is summed in closed form.  Exponential profile: a
+    direct head of factors, then the log1p and arctan Taylor series of
+    the rest, whose power sums over the deformed tail are the Mellin
+    series of ``spectrum._exp_power_tail``.
     """
     if s == 0.0:
         return 1.0, 0.0
-    if isinstance(d.reg, SharpCutoff):
-        return _sharp_polar(d, s)
-
-    spec = d.base
-    scale = max(1.0, abs(s))
-    n = max(spec.tail_start, 64)
-    while scale * d._exp_recip(float(n)) > 0.25 * tol:
-        if n >= _MAX_TERMS:
-            raise NoConvergence(
-                "truncation budget exhausted for the exponential profile"
-            )
-        n *= 2
-    log_mod = 0.0
-    phase = 0.0
-    for block in d.value_chunks(1, n):
-        r = s / block
-        log_mod += float(np.sum(np.log1p(r * r)))
-        phase += float(np.sum(np.arctan(r)))
-    # The tails of both sums are governed by the deformed reciprocals:
-    # arctan(s/b) ~ s/b and log1p((s/b)^2) ~ (s/b)^2 far out.
-    t1 = d._exp_tail_integral(n + 0.5, power=1, abs_tol=0.25 * tol / scale)
-    t2 = d._exp_tail_integral(n + 0.5, power=2, abs_tol=0.25 * tol / scale**2)
-    phase += s * t1
-    log_mod += s * s * t2
-    return math.exp(-0.25 * log_mod), 0.5 * phase
+    _check_arguments(s, tol)
+    return _deformed_polar(d, s)
 
 
 def deformed(d: DeformedSpectrum, s: float, tol: float = 1e-10) -> complex:

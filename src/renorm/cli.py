@@ -317,21 +317,16 @@ def diagrams(ctx, order):
     spec, theta = cfg.spectrum, cfg.theta
     kap = _renormalized_constant(cfg)  # before any table is written
 
-    moments = []
-    for k in range(order + 1):
-        full = dg.wick_moment(k)
-        moments.append(
-            {
-                "k": k,
-                "moment": full.to_json_obj(),
-                "tadpole_free": full.drop_tadpoles().to_json_obj(),
-            }
-        )
+    full = [dg.wick_moment(k) for k in range(order + 1)]  # each built once
+    moments = [
+        {"k": k, "moment": m.to_json_obj(), "tadpole_free": m.drop_tadpoles().to_json_obj()}
+        for k, m in enumerate(full)
+    ]
     out = Path(cfg.out)
     tables.write_json(out / "moments.json", moments)
     click.echo(f"wrote {out / 'moments.json'}")
 
-    verdicts = [(n, dg.renorm_identity_holds(n)) for n in range(min(order, 12) + 1)]
+    verdicts = [(n, dg.renorm_identity_holds(n, full)) for n in range(min(order, 12) + 1)]
     path = _emit(cfg, "renorm_identity", ["order", "verdict"], verdicts)
     click.echo(f"wrote {path}")
 

@@ -390,21 +390,18 @@ def tadpole_free_moment(k: int) -> MomentPolynomial:
     return wick_moment(k).drop_tadpoles()
 
 
-def _moment_op(op: str):
-    if op == "H":
-        return wick_moment
-    if op == "H1":
-        return tadpole_free_moment
-    raise ValueError("op must be 'H' (full) or 'H1' (tadpole-free)")
-
-
 def shifted_moment(op: str, n: int) -> MomentPolynomial:
-    """Moment of the n-th power of the shifted source (source - zeta).
+    """Moment of the n-th power of the shifted source (source - zeta),
+    with the full moments (op "H") or the tadpole-free ones ("H1").
 
     Binomial expansion with exact coefficients; zeta stays symbolic.
     """
-    base = _moment_op(op)
-    return _shifted([base(j) for j in range(n + 1)], n)
+    if op not in ("H", "H1"):
+        raise ValueError("op must be 'H' (full) or 'H1' (tadpole-free)")
+    moments = [wick_moment(j) for j in range(n + 1)]
+    if op == "H1":
+        moments = [m.drop_tadpoles() for m in moments]
+    return _shifted(moments, n)
 
 
 def _shifted(moments, n: int) -> MomentPolynomial:
@@ -416,19 +413,22 @@ def _shifted(moments, n: int) -> MomentPolynomial:
     return acc
 
 
-def renorm_identity_holds(n: int) -> bool:
+def renorm_identity_holds(n: int, moments=None) -> bool:
     """Exact check of the rearrangement that finances the shift.
 
     The full moment of (source - zeta)^n equals the tadpole-free moment
     of (source + xi - zeta)^n once xi = b1/2: all tadpole content is
     absorbed into the shift, so only the finite combination xi - zeta
-    survives.  Returns the verdict of exact polynomial equality.  Each
-    moment is built once, and the powers of xi - zeta by one product
+    survives.  Returns the verdict of exact polynomial equality.
+    ``moments``, if given, holds wick_moment(j) at least for j <= n, so
+    that checks at several n share one build of each moment; otherwise
+    each is built here, once.  The powers of xi - zeta take one product
     each.
     """
     if not 0 <= n <= 20:
         raise ValueError("identity check limited to n <= 20")
-    moments = [wick_moment(j) for j in range(n + 1)]
+    if moments is None:
+        moments = [wick_moment(j) for j in range(n + 1)]
     xi_minus_zeta = MomentPolynomial.loop(1) * Fraction(1, 2) - MomentPolynomial.shift()
     powers = [MomentPolynomial.one()]
     for _ in range(n):

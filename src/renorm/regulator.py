@@ -10,6 +10,11 @@ sum splits into a closed-form divergent piece (the singular part) plus
 a constant (the constant part) plus a vanishing remainder.  The split
 is normalized so the singular part carries no additive constant: all
 profile- and scale-dependent constants live in the constant part.
+
+The deformed sums themselves are exact to rounding for both profiles:
+a direct head, then a closed-form tail, the surviving power-law
+stretch of a sharp cutoff or the convergent Mellin series of the
+exponentially deformed tail (``spectrum._exp_power_tail``).
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .quadrature import quad_checked
-from .spectrum import NoConvergence, Spectrum, _MAX_TERMS, _power
+from .spectrum import NoConvergence, Spectrum, _power
 
 __all__ = [
     "UnsupportedRegulatorTail",
@@ -98,12 +102,6 @@ class DeformedSpectrum:
             return math.inf
         return b * math.exp(x)
 
-    def value_chunks(self, lo: int, hi: int):
-        """Exponentially deformed elements for indices lo..hi in blocks (inf allowed)."""
-        for block in self.base.chunks(lo, hi):
-            with np.errstate(over="ignore"):
-                yield block * np.exp(np.sqrt(block / self.cutoff))
-
     # -- sharp-cutoff support ---------------------------------------------
 
     def sharp_tail_max_index(self) -> int:
@@ -129,76 +127,34 @@ class DeformedSpectrum:
             m -= 1
         return max(m, 0)
 
-    def _survivor_sum(self, f, series, radius: float = 0.0) -> tuple[float, ...]:
-        """``Spectrum._spectral_sum`` over the elements a sharp cutoff
-        keeps: the tail ends at :meth:`sharp_tail_max_index`."""
-        top = self.sharp_tail_max_index()
+    def _deformed_sum(self, f, series, radius: float = 0.0) -> tuple[float, ...]:
+        """``Spectrum._spectral_sum`` over the deformed elements: the
+        sharp cutoff's survivors, the tail ending at
+        :meth:`sharp_tail_max_index`, or the exponentially deformed
+        sequence."""
         spec = self.base
-        return spec._spectral_sum(
-            f, series, radius, upper=max(top, spec.tail_start - 1),
-            thresh=self.reg.a**2 * self.cutoff,
-        )
-
-    # -- exponential-profile tail machinery ---------------------------------
-
-    def _exp_recip(self, x: float, power: int = 1) -> float:
-        """(1/deformed value)**power at real tail coordinate x."""
-        b = self.base.tail_c * x**self.base.tail_p
-        return (math.exp(-math.sqrt(b / self.cutoff)) / b) ** power
-
-    def _exp_tail_integral(self, start: float, power: int = 1, abs_tol: float = 1e-13) -> float:
-        """Integral of (1/deformed value)**power over the tail from start,
-        taken in t = ln sqrt(c x**p / cutoff): there the integrand decays
-        from the lower end at a rate set by p and k alone, while in x it
-        is flat out to x ~ cutoff, a range quadrature can step over.
-        exp(t) is clipped where the integrand has long underflowed."""
-        c, p, lam, k = self.base.tail_c, self.base.tail_p, self.cutoff, power
-        scale = 2.0 / (p * lam**k) * (lam / c) ** (1.0 / p)
-        a = 2.0 / p - 2.0 * k
-        val, _ = quad_checked(
-            lambda t: math.exp(a * t - k * math.exp(min(t, 700.0))),
-            0.5 * math.log(c * start**p / lam),
-            np.inf,
-            abs_tol=abs_tol / scale,
-            rel_tol=1e-9,
-            max_limit=400,
-        )
-        return scale * val
+        if isinstance(self.reg, SharpCutoff):
+            return spec._spectral_sum(
+                f, series, radius, upper=max(self.sharp_tail_max_index(), spec.tail_start - 1),
+                thresh=self.reg.a**2 * self.cutoff,
+            )
+        return spec._spectral_sum(f, series, radius, exp_cutoff=self.cutoff)
 
     # -- reciprocal sum -----------------------------------------------------
 
     def inverse_sum(self, tol: float = 1e-12) -> float:
         """sum_j 1/beta_j(cutoff), finite for every positive cutoff.
 
-        Sharp cutoff: the exact finite sum over the survivors, with the
-        surviving power-law tail in closed form (a difference of two
-        Hurwitz zeta values), so its cost does not grow with the
-        cutoff.  Exponential profile: a
-        truncated sum plus the midpoint comparison integral of the tail,
-        truncated once the first dropped term falls below tol (the
-        sandwich between neighbouring comparison integrals bounds the
-        correction error by that term).
+        Exact to rounding, so tol is only checked, at a cost that does
+        not grow with large cutoffs.  Sharp cutoff: the finite sum over the
+        survivors, with the surviving power-law tail in closed form (a
+        difference of two Hurwitz zeta values).  Exponential profile: a
+        direct head, then the Mellin series of the deformed tail in
+        continued Hurwitz zeta values (``spectrum._exp_power_tail``).
         """
-        if isinstance(self.reg, SharpCutoff):
-            return self._survivor_sum(*_power(1))[0]
-
-        spec = self.base
-        total = 0.0
-        for v in spec.head_values:
-            x = math.sqrt(v / self.cutoff)
-            if x <= 700.0:
-                total += math.exp(-x) / v
-        n = max(spec.tail_start, 64)
-        while self._exp_recip(float(n)) > 0.5 * tol:
-            n *= 2
-            if n > _MAX_TERMS:
-                raise NoConvergence(
-                    "truncation budget exhausted for the exponential profile"
-                )
-        start = spec.tail_start
-        for block in spec.chunks(start, n):
-            total += float(np.sum(np.exp(-np.sqrt(block / self.cutoff)) / block))
-        return total + self._exp_tail_integral(n + 0.5, abs_tol=0.25 * tol)
+        if not tol > 0:
+            raise ValueError("tol must be positive")
+        return self._deformed_sum(*_power(1))[0]
 
 
 def singular_part(d: DeformedSpectrum) -> float:

@@ -36,9 +36,13 @@ _MAX_TERMS = 1 << 28
 _HEAD_TERMS = 256
 # Direct ranges up to this length are built once per spectrum and kept.
 _CACHED_HEAD = 1 << 12
-# B_2k / (2k)! for k = 1..5, and the powers 2k - 1 they go with
-_BERNOULLI = np.array([1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160])
-_ODD = np.arange(1.0, 10.0, 2.0)
+# B_2k / (2k)! for k = 1..10, and the powers 2k - 1 they go with
+_BERNOULLI = np.array([
+    1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+    -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000,
+    43867 / 5109094217170944000, -174611 / 802857662698291200000,
+])
+_ODD = np.arange(1.0, 20.0, 2.0)
 # Tail series terms beyond log_4(tail length): since radius/b <= 1/2,
 # the dropped terms then sum to at most 4**-28 = 2**-56 in all.
 _SERIES_TERMS = 28
@@ -159,7 +163,13 @@ class Spectrum:
     # -- summation engine -------------------------------------------------
 
     def _spectral_sum(
-        self, f, series, radius: float = 0.0, upper=math.inf, thresh: float = math.inf
+        self,
+        f,
+        series,
+        radius: float = 0.0,
+        upper=math.inf,
+        thresh: float = math.inf,
+        exp_cutoff: float | None = None,
     ) -> tuple[float, ...]:
         """Row sums of f(beta_j) over the j <= upper with beta_j <= thresh.
 
@@ -179,12 +189,21 @@ class Spectrum:
         (2 (J+1) for an infinite tail, which bounds sum_{j>J}
         (b/beta_j)**m once m p >= 2), so each sum is exact to rounding.
 
+        With ``exp_cutoff`` L the sums run over the exponentially
+        deformed elements beta_j e^{x_j}, x_j = sqrt(beta_j / L), to
+        infinity: J and whether a series follows come from
+        :func:`_exp_head`, b is the deformed beta_{J+1}, the ratio
+        radius / b is at most e^{-2 x_{J+1}} / 2, which sets K, and the
+        tail sums are :func:`_exp_power_tail`'s.
+
         Raises NoConvergence, before summing, if J exceeds the term
         budget, and DivergentSum if an infinite tail diverges.
         """
         c, p = self.tail_c, self.tail_p
         far = max(_HEAD_TERMS, self.tail_start - 1)
-        if radius > 0.0:
+        if exp_cutoff is not None:
+            far, upper = _exp_head(c, p, self.tail_start - 1, max(radius, c), exp_cutoff)
+        elif radius > 0.0:
             need = (math.log(2.0 * radius) - math.log(c)) / p
             far = max(far, math.ceil(math.exp(min(need, 100.0))))
         last = min(far, upper)
@@ -194,17 +213,65 @@ class Spectrum:
             )
         total = 0.0
         for block in _head(self, last) if last <= _CACHED_HEAD else self.chunks(1, last):
+            if exp_cutoff is not None:
+                with np.errstate(over="ignore"):
+                    block = block * np.exp(np.sqrt(block / exp_cutoff))
             total = total + np.add.reduce(f(block[block <= thresh]), axis=1)
         if upper <= far:
             return tuple(total.tolist())
         a = far + 1
         b = c * float(a) ** p
-        count = upper - far if upper < math.inf else 2 * a
-        orders, weights = series(b, math.ceil(math.log(count, 4) + _SERIES_TERMS))
-        tail = _tail_sums(orders, p, a, upper)
+        if exp_cutoff is None:
+            count = upper - far if upper < math.inf else 2 * a
+            terms, x = math.ceil(math.log(count, 4) + _SERIES_TERMS), None
+        else:
+            x = math.sqrt(b / exp_cutoff)
+            bits = math.log(2 * a) + 2 * _SERIES_TERMS * math.log(2.0)
+            terms = math.ceil(bits / (2.0 * (math.log(2.0) + 2.0 * x)))
+            b *= math.exp(x)
+        orders, weights = series(b, terms)
+        tail = _tail_sums(orders, p, a, upper, x)
         return tuple(
             t + float(np.dot(w, row)) for t, w, row in zip(total.tolist(), weights, tail)
         )
+
+
+def _exp_head(c: float, p: float, head: int, radius: float, cutoff: float):
+    """Last directly summed index of an exponentially deformed sum, and
+    the upper end of its series: infinity, or that index when none
+    follows.
+
+    The series may start at index a >= 257 (and past the ``head``
+    explicit values) once radius e**x_a / beta_a <= 1/2, x_a =
+    sqrt(beta_a / cutoff): its alternating terms lose a factor
+    e**(2 q x_a) to cancellation at order q, which the weight
+    (radius / (beta_a e**x_a))**q repays.  As a function of beta that
+    ratio falls up to beta = 4 cutoff and rises after, so past the
+    first candidate the earliest start solves beta e**-sqrt(beta /
+    cutoff) = 2 radius on the falling side, beta = cutoff y**2 with y
+    = -2 W0(-sqrt(radius / (2 cutoff))).  The start also needs x_a <=
+    32, which keeps e**(2 q x_a) far from overflow.  Without a start
+    the direct sum runs on to x_j = 40, past which every term is below
+    rounding.
+    """
+
+    def starts(j: int) -> bool:
+        b = c * float(j) ** p
+        x = math.sqrt(b / cutoff)
+        return x <= 32.0 and radius * math.exp(x) <= 0.5 * b
+
+    a = max(_HEAD_TERMS, head) + 1
+    if starts(a):
+        return a - 1, math.inf
+    z = math.sqrt(radius / (2.0 * cutoff))
+    if c * float(a) ** p < 4.0 * cutoff and z < 1.0 / math.e:
+        y = -2.0 * float(special.lambertw(-z).real)
+        first = max(a, math.ceil(math.exp(min(math.log(cutoff * y * y / c) / p, 60.0))))
+        for j in range(first, first + 3):
+            if starts(j):
+                return j - 1, math.inf
+    last = max(head, math.ceil(math.exp(min(math.log(1600.0 * cutoff / c) / p, 60.0))))
+    return last, last
 
 
 # Kept between calls: every sum over a spectrum sums the same leading
@@ -231,17 +298,31 @@ def _power(k: float):
 # Cached: the tail sums do not depend on s, and a quadrature asks for
 # the same ones at every node.
 @functools.lru_cache(maxsize=256)
-def _tail_sums(orders: tuple, p: float, a: int, upper) -> np.ndarray:
+def _tail_sums(orders: tuple, p: float, a: int, upper, x_a: float | None = None) -> np.ndarray:
     """a**x * sum_{j=a}^{upper} j**-x at x = p m for the orders m of
-    each row; an order shared by rows is summed once."""
+    each row, or, given x_a, the exponentially deformed sums of
+    :func:`_exp_power_tail`; an order shared by rows is summed once."""
     distinct = sorted({m for row in orders for m in row})
-    x = p * np.array(distinct, dtype=float)
-    if upper == math.inf and x[0] <= 1.0:
-        raise DivergentSum(f"sum diverges: tail exponent {p} gives exponent {x[0]} <= 1")
+    m = np.array(distinct, dtype=float)
+    if x_a is not None:
+        sums = _exp_power_tail(m, p, a, x_a)
+    else:
+        x = p * m
+        if upper == math.inf and x[0] <= 1.0:
+            raise DivergentSum(f"sum diverges: tail exponent {p} gives exponent {x[0]} <= 1")
+        sums = _scaled_power_tail(x, a, upper)
     index = {m: i for i, m in enumerate(distinct)}
-    out = _scaled_power_tail(x, a, upper)[[[index[m] for m in row] for row in orders]]
+    out = sums[[[index[m] for m in row] for row in orders]]
     out.flags.writeable = False  # shared by every caller through the cache
     return out
+
+
+def _corrections(x: np.ndarray, t: float, terms: int) -> np.ndarray:
+    """1/2 + sum_{k<=terms} B_2k/(2k)! (x)_{2k-1} t**(1-2k), the
+    Euler-Maclaurin terms of t**x zeta(x, t) after t/(x-1)."""
+    # rising factorials (x)_1, (x)_3, ..., (x)_{2 terms - 1}
+    rising = np.cumprod(x[:, None] + np.arange(2.0 * terms - 1.0), axis=1)[:, ::2]
+    return 0.5 + rising @ (_BERNOULLI[:terms] * t ** -_ODD[:terms])
 
 
 def _scaled_power_tail(x: np.ndarray, a: int, upper) -> np.ndarray:
@@ -256,18 +337,87 @@ def _scaled_power_tail(x: np.ndarray, a: int, upper) -> np.ndarray:
     holds through x = 1 without cancellation.  An infinite ``upper``
     needs every x > 1.
     """
-    # rising factorials (x)_1, (x)_3, ..., (x)_9
-    rising = np.cumprod(x[:, None] + np.arange(9.0), axis=1)[:, ::2]
-
-    def corrections(t: float) -> np.ndarray:
-        return 0.5 + rising @ (_BERNOULLI * t ** -_ODD)
-
     if upper == math.inf:
-        return a / (x - 1.0) + corrections(a)
+        return a / (x - 1.0) + _corrections(x, a, 5)
     top = float(upper) + 1.0
     span = math.log1p((top - a) / a)
     lead = a * span * special.exprel((1.0 - x) * span)
-    return lead + corrections(a) - np.exp(-x * span) * corrections(top)
+    return lead + _corrections(x, a, 5) - np.exp(-x * span) * _corrections(x, top, 5)
+
+
+# (-1)**n zeta(n) / n for n = 2..19: ln Gamma(1 + d) = -gamma d + sum_n
+# of these times d**n, to rounding for |d| < 0.1
+_LOG_GAMMA_1P = np.array([(-1) ** n * float(special.zeta(n)) / n for n in range(2, 20)])
+
+
+def _exp_power_tail(q: np.ndarray, p: float, a: int, x_a: float) -> np.ndarray:
+    """sum_{j>=a} (b/beta_j)**q, elementwise in q (ascending, q p > 0),
+    over exponentially deformed elements beta_j = c j**p e**x_j with
+    x_j = x_a (j/a)**(p/2), and b = beta_a; for a > 256.
+
+    Expanding e**(-q x_j) in powers of x_j turns the sum into continued
+    Hurwitz zetas, plus the residue of the pole of zeta at w0 = 2/p -
+    2q in the Mellin variable (Flajolet, Gourdon & Dumas 1995): with
+    lam = q x_a and Z(x) = a**x zeta(x, a),
+
+        sum_k (-1)**k e**lam lam**k / k! Z(p (q - k/2))
+            + (2/p) a Gamma(w0) lam**-w0 e**lam.
+
+    Z comes from Euler-Maclaurin with ten Bernoulli terms, valid while
+    |x| << 2 pi a; the k-sum stops where its Poisson weights fall below
+    rounding.  The k-th term and the residue both diverge as w0 + k ->
+    0, which happens at k* = 2q - r, r = round(2/p), at the distance d
+    = 2/p - r for every q: a double pole (d = 0) for p = 1 and p = 2 at
+    every q, a near collision for other p.  There the two are summed
+    in the confluent form
+
+        (-1)**k e**lam lam**k / k! [Z(x) - a**x/(x-1)
+                                    + (2/p) a**x expm1(d phi')/d],
+
+    x = 1 - p d/2, phi' = ln Gamma(1+d)/d + sum_{i<=k} ln(1 - d/i)/(-d)
+    - ln lam + (p/2) ln a, each piece free of cancellation; at d = 0 it
+    is the double-pole residue.  The terms reach about e**(2 lam) times
+    the result, a loss callers repay with the weight ratio**q, ratio <=
+    e**(-2 x_a) / 2.
+    """
+    lam = q * x_a
+    r = round(2.0 / p)
+    d = 2.0 / p - r
+    top = max(math.ceil(math.e**2 * lam[-1]) + 45, int(2 * q[-1]) + 2)
+    k = np.arange(top + 1.0)
+    n = (2 * q[:, None] - k).astype(int)  # orders of the power sums, x = p n / 2
+    low = int(n.min())
+    x = 0.5 * p * np.arange(low, int(n.max()) + 1.0)
+    weights = (1.0 - 2.0 * (k % 2)) * np.exp(
+        lam[:, None] + k * np.log(lam)[:, None] - special.gammaln(k + 1.0)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):  # at x = 1, replaced below
+        terms = weights * (a / (x - 1.0) + _corrections(x, a, 10))[n - low]
+
+    # the pole pairs: k* = 2q - r where that is a term, the lone residue elsewhere
+    star = (2 * q - r).astype(int)
+    rows, lone = np.flatnonzero(star >= 0), np.flatnonzero(star < 0)
+    ln_a = math.log(a)
+    x_star = 1.0 - 0.5 * p * d
+    reg = -a * ln_a * special.exprel((x_star - 1.0) * ln_a) + _corrections(
+        np.array([x_star]), a, 10
+    )[0]
+    if d == 0.0:
+        lgam = -np.euler_gamma
+    elif abs(d) < 0.1:
+        lgam = -np.euler_gamma + float(_LOG_GAMMA_1P @ d ** np.arange(1.0, 19.0))
+    else:
+        lgam = math.lgamma(1.0 + d) / d
+    i = np.arange(1.0, max(int(star.max()), 0) + 1.0)
+    log_ratio = np.log1p(-d / i) / (-d / i) if d else np.ones_like(i)
+    harmonic = np.concatenate(([0.0], np.cumsum(log_ratio / i)))
+    phi = lgam + harmonic[star[rows]] - np.log(lam[rows]) + 0.5 * p * ln_a
+    bracket = reg + (2.0 / p) * a**x_star * special.exprel(d * phi) * phi
+    terms[rows, star[rows]] = weights[rows, star[rows]] * bracket
+    out = terms.sum(axis=1)
+    w0 = 2.0 / p - 2.0 * q[lone]
+    out[lone] += (2.0 / p) * a * special.gamma(w0) * np.exp(lam[lone] - w0 * np.log(lam[lone]))
+    return out
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,30 @@ def test_closed_form_sums_match_direct_sums(p, c, head, s, top):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
+    p=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.1, 1.9)),
+    c=st.floats(0.5, 4.0),
+    head=st.lists(st.floats(0.1, 50.0), max_size=3),
+    lam_cut=st.floats(1.0, 1e3),
+    s=st.floats(-14.0, 14.0),
+)
+def test_exponential_sums_match_direct_sums(p, c, head, lam_cut, s):
+    # the direct sums over the exponentially deformed elements stay here
+    # as the oracle of the Mellin tail; they stop at x_j = 40, past
+    # which e**-x_j is below rounding
+    spec = rn.ExplicitWithTail(head, c, p)
+    d = rn.DeformedSpectrum(spec, rn.Exponential(), lam_cut)
+    vals = spec.values(len(head) + math.ceil((1600.0 * lam_cut / c) ** (1.0 / p)))
+    beta = vals * np.exp(np.sqrt(vals / lam_cut))
+    assert abs(d.inverse_sum() - math.fsum(1.0 / beta)) <= 1e-12
+    r = s / beta
+    mod, phase = ch.deformed_polar(d, s)
+    assert abs(mod - math.exp(-0.25 * math.fsum(np.log1p(r * r)))) <= 1e-12
+    assert abs(phase - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
+    assert ch.deformed_polar(d, -s) == (mod, -phase)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
     p=st.sampled_from([1.0, 2.0]),
     c=st.floats(0.5, 4.0),
     head=st.lists(st.floats(0.1, 50.0), max_size=3),
@@ -175,27 +199,32 @@ def test_renormalized_pair_matches_gamma_closed_forms(p, c, head, s):
 
 
 def test_node_memos_are_pure():
-    # a memo hit returns the bits a fresh evaluation computes
+    # a memo hit returns the bits a fresh evaluation computes, for both
+    # profiles; the exponential node at s = 11 takes the long direct
+    # head, the others the Mellin tail
     spec = rn.ExplicitWithTail([0.7, 2.5], 4.0, 1.0)
-    d = rn.DeformedSpectrum(spec, rn.SharpCutoff(2.0), 1e4)
+    sharp = rn.DeformedSpectrum(spec, rn.SharpCutoff(2.0), 1e4)
+    expo = rn.DeformedSpectrum(spec, rn.Exponential(), 50.0)
     nodes = [-3.7, -0.4, 0.9, 2.2, 11.0]
 
     def values():
         return [
-            (ch.deformed_polar(d, s), ch.modulus_limit(spec, s),
-             ch.renormalized_phase(spec, 0.3, s))
+            (ch.deformed_polar(sharp, s), ch.deformed_polar(expo, s),
+             ch.modulus_limit(spec, s), ch.renormalized_phase(spec, 0.3, s))
             for s in nodes
         ]
 
     ch.cache_clear()
     fresh = values()
-    hits = ch._sharp_polar.cache_info().hits
+    hits = ch._deformed_polar.cache_info().hits
     memo = values()
-    assert ch._sharp_polar.cache_info().hits == hits + len(nodes)
+    assert ch._deformed_polar.cache_info().hits == hits + 2 * len(nodes)
     ch.cache_clear()
     assert fresh == memo == values()
-    for s, (polar, _, _) in zip(nodes, fresh):
-        assert polar == ch._polar(d._survivor_sum(*ch._polar_pair(s), abs(s)))
+    for s, (polar, exp_polar, _, _) in zip(nodes, fresh):
+        ch.cache_clear()  # the tail sums as well
+        assert polar == ch._polar(sharp._deformed_sum(*ch._polar_pair(s), abs(s)))
+        assert exp_polar == ch._polar(expo._deformed_sum(*ch._polar_pair(s), abs(s)))
 
 
 def test_quadrature_oracle_matches():
@@ -402,3 +431,15 @@ def test_exponential_deformed_value_example():
         0.5j * float(np.sum(np.arctan(1.0 / bl)))
     )
     assert abs(got - ref) < 1e-9
+
+
+def test_exponential_extreme_cutoffs_finish():
+    # tiny cutoffs end in a short direct head, huge ones in the Mellin
+    # tail; neither runs out of terms
+    for p in (1.0, 2.0, 3.0):
+        for lam_cut in (1e-3, 1.0, 1e8, 1e12):
+            d = rn.DeformedSpectrum(rn.PowerLaw(1.0, p), rn.Exponential(), lam_cut)
+            assert 0.0 < d.inverse_sum() < math.inf
+            for s in (0.3, 4.0, 14.0):
+                mod, phase = ch.deformed_polar(d, s)
+                assert 0.0 < mod <= 1.0 and 0.0 < phase < math.inf

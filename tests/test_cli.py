@@ -175,10 +175,10 @@ def test_node_memos_live_for_one_subcommand(tmp_path):
 
     cfg = _write_config(tmp_path, {})
     assert RUNNER.invoke(main, ["--config", str(cfg), "flow"]).exit_code == 0
-    assert ch._sharp_polar.cache_info().currsize > 0
+    assert ch._deformed_polar.cache_info().currsize > 0
     assert ch._renormalized_sums.cache_info().currsize > 0
     assert RUNNER.invoke(main, ["--config", str(cfg), "spectrum"]).exit_code == 0
-    assert ch._sharp_polar.cache_info().currsize == 0
+    assert ch._deformed_polar.cache_info().currsize == 0
     assert ch._renormalized_sums.cache_info().currsize == 0
 
 
@@ -250,6 +250,33 @@ def test_flow_tables_monotone(tmp_path):
     assert header == ["Lambda", "lambda", "theta", "z_flow", "z_renormalized", "abs_error", "z_regularized"]
     errs = [row[5] for row in z_rows]
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+def test_exponential_flow_at_default_config(tmp_path):
+    # the default grids (cutoffs up to 1e5, default tol) under the
+    # exponential profile, whose sums no longer grow with the cutoff
+    path = tmp_path / "config.json"
+    path.write_text(
+        json.dumps({"regulator": {"kind": "exponential"}, "out": str(tmp_path / "out")}),
+        encoding="utf-8",
+    )
+    result = RUNNER.invoke(main, ["--config", str(path), "flow"])
+    assert result.exit_code == 0, result.output
+    header, z_rows = tables.read_csv(tmp_path / "out" / "flow_z.csv")
+    assert header == ["Lambda", "lambda", "theta", "z_flow", "z_renormalized", "abs_error", "z_regularized"]
+    assert [row[0] for row in z_rows] == [1e3, 1e4, 1e5]
+    assert all(math.isfinite(v) for row in z_rows for v in row)
+
+
+def test_diagrams_builds_each_moment_once(tmp_path, monkeypatch):
+    # moments.json and the identity verdicts share one build per order
+    built = []
+    real = dg.wick_moment
+    monkeypatch.setattr(dg, "wick_moment", lambda k: built.append(k) or real(k))
+    cfg = _write_config(tmp_path, {"order": 12})
+    result = RUNNER.invoke(main, ["--config", str(cfg), "diagrams"])
+    assert result.exit_code == 0, result.output
+    assert sorted(built) == list(range(13))
 
 
 def test_diagrams_outputs(tmp_path):

@@ -5,8 +5,8 @@ import math
 import time
 
 import pytest
-from mpmath import harmonic, im, loggamma, mp, re, zeta
-from scipy import special
+import numpy as np
+from mpmath import atan, digamma, exp, factorial, harmonic, im, log, loggamma, mp, mpf, re, sqrt, zeta
 
 import renorm as rn
 from renorm import characteristic as ch
@@ -170,22 +170,72 @@ def test_exponential_constant_part_matches_direct_sums():
             assert abs(root * (r - kap - shift) + zeta_half) > 0.5 / root
 
 
-def test_exp_tail_integral_matches_exponential_integrals():
-    # int_x0^inf (e^{-sqrt(c x/L)}/(c x))^k dx is (2/c) E1(u0) for k = 1
-    # and (2/(c L)) E3(2 u0) / u0^2 for k = 2, with u0 = sqrt(c x0/L)
-    for lam_cut, start in ((1e5, 2.0**23 + 0.5), (100.0, 1e4 + 0.5), (1e3, 64.5)):
+def _exp_power_sum(q, c, lam_cut, start):
+    # sum_{j>=start} (c j e^{x_j})**-q, x_j = sqrt(c j / L), as its
+    # Mellin series in 30 digits: the k-th term carries the Hurwitz zeta
+    # at q - k/2, and k = 2q - 2, where that zeta's pole meets Gamma's,
+    # is replaced by the double-pole residue (start 1: the Riemann zeta)
+    c, lam_cut = mpf(c), mpf(lam_cut)
+    total, k = mpf(0), 0
+    while True:
+        coef = (-1) ** k * q**k * (c / lam_cut) ** (mpf(k) / 2) / (c**q * factorial(k))
+        if k == 2 * q - 2:
+            term = coef * (2 * (digamma(k + 1) - log(q) + log(lam_cut / c) / 2) - digamma(start))
+        else:
+            term = coef * zeta(q - mpf(k) / 2, start)
+        total += term
+        if k > 0 and abs(term) < mpf(10) ** -25 * abs(total):
+            return total
+        k += 1
+
+
+def _exp_polar_reference(c, lam_cut, s):
+    # the log1p and arctan sums by their Taylor series in s past the
+    # first index with |s| / (c j) <= 1/4, directly before it
+    start = max(1, math.ceil(4 * abs(s) / c))
+    beta = [mpf(c) * j * exp(sqrt(mpf(c) * j / lam_cut)) for j in range(1, start)]
+    log_mod = sum(log(1 + (mpf(s) / b) ** 2) for b in beta)
+    phase = sum(atan(mpf(s) / b) for b in beta)
+    for q in range(1, 31):  # the weights fall as 4**-q
+        weight = (-1) ** ((q - 1) // 2) * mpf(s) ** q / q
+        if q % 2:
+            phase += weight * _exp_power_sum(q, c, lam_cut, start)
+        else:
+            log_mod += 2 * weight * _exp_power_sum(q, c, lam_cut, start)
+    return float(exp(-log_mod / 4)), float(phase / 2)
+
+
+def test_exponential_tail_sums_match_references():
+    # below 1e3 against direct sums out to x_j = 40, where e^{-x_j} is
+    # below rounding; at 1e5, where those would need 3e8 terms, against
+    # the Mellin series in 30 digits
+    for lam_cut in (1e2, 1e3, 1e5):
         for c in (1.0, 0.5):
             d = rn.DeformedSpectrum(rn.PowerLaw(c, 1.0), rn.Exponential(), lam_cut)
-            u0 = math.sqrt(c * start / lam_cut)
-            e1 = 2.0 / c * special.exp1(u0)
-            e3 = 2.0 / (c * lam_cut) * special.expn(3, 2.0 * u0) / u0**2
-            assert d._exp_tail_integral(start, 1, abs_tol=1e-30) == pytest.approx(e1, rel=1e-9)
-            assert d._exp_tail_integral(start, 2, abs_tol=1e-30) == pytest.approx(e3, rel=1e-9)
+            if lam_cut <= 1e3:
+                j = np.arange(1.0, 1600.0 * lam_cut / c + 1.0)
+                beta = c * j * np.exp(np.sqrt(c * j / lam_cut))
+                ref = math.fsum(1.0 / beta)
+            else:
+                with mp.workdps(30):
+                    ref = float(_exp_power_sum(1, c, lam_cut, 1))
+            assert abs(d.inverse_sum() - ref) <= 1e-12
+            for s in (0.3, 1.3, 4.0):
+                if lam_cut <= 1e3:
+                    r = s / beta
+                    ref = (
+                        math.exp(-0.25 * math.fsum(np.log1p(r * r))),
+                        0.5 * math.fsum(np.arctan(r)),
+                    )
+                else:
+                    with mp.workdps(30):
+                        ref = _exp_polar_reference(c, lam_cut, s)
+                mod, phase = ch.deformed_polar(d, s)
+                assert abs(mod - ref[0]) <= 1e-12
+                assert abs(phase - ref[1]) <= 1e-12
 
 
 def test_sharp_tail_index_brackets_threshold():
-    import numpy as np
-
     rng = np.random.default_rng(31415)
     for _ in range(200):
         spec = rn.PowerLaw(rng.uniform(0.05, 5.0), rng.uniform(0.3, 2.5))
