@@ -40,17 +40,18 @@ __all__ = [
 ]
 
 
-def finite_polar(spec: Spectrum, s: float, n: int) -> tuple[float, float]:
-    """Modulus and (continuous, unwrapped) phase of the n-factor product."""
+def finite_polar(spec: Spectrum, s, n: int):
+    """Modulus and (continuous, unwrapped) phase of the n-factor
+    product, as floats for a float s and as arrays for an array s."""
     if n < 1:
         raise ValueError("need at least one factor")
-    return _polar(spec._spectral_sum(*_polar_pair(s), abs(s), upper=n))
+    return _polar(spec._spectral_sum(*_POLAR_PAIR, s, upper=n))
 
 
-def finite(spec: Spectrum, s: float, n: int) -> complex:
-    """Value of the n-factor characteristic product at real s."""
-    mod, phase = finite_polar(spec, s, n)
-    return cmath.rect(mod, phase)
+def finite(spec: Spectrum, s, n: int):
+    """Value of the n-factor characteristic product at real s (a float
+    or an array)."""
+    return _rect(*finite_polar(spec, s, n))
 
 
 def finite_by_quadrature(
@@ -60,7 +61,7 @@ def finite_by_quadrature(
 
     Each factor is the 1-D integral of exp(-u**2 + i r u**2) / sqrt(pi)
     with r = s / beta_j, truncated at |u| = 8 where the envelope is
-    exp(-64); the node budget doubles adaptively within ``q.max_nodes``.
+    exp(-64), in one complex adaptive pass within ``q.max_nodes``.
     Products of per-factor errors stay below the configured tolerances
     because every factor has modulus at most 1.
     """
@@ -68,30 +69,22 @@ def finite_by_quadrature(
         raise ValueError("quadrature oracle is limited to n <= 12")
     q = q or QuadratureConfig()
     max_limit = max(64, q.max_nodes // 21)
-    abs_each = max(q.abs_tol / (2 * n), 1e-13)
-    rel_each = max(q.rel_tol / (2 * n), 1e-12)
+    abs_each = max(q.abs_tol / n, 2e-13)
+    rel_each = max(q.rel_tol / n, 2e-12)
     result = complex(1.0, 0.0)
     err_budget = 0.0
     for j in range(1, n + 1):
         r = s / spec.value(j)
-        re, ere = quad_checked(
-            lambda u: math.exp(-u * u) * math.cos(r * u * u),
+        val, err = quad_checked(
+            lambda u: np.exp(-u * u) * (np.cos(r * u * u) + 1j * np.sin(r * u * u)),
             0.0,
             8.0,
             abs_tol=abs_each,
             rel_tol=rel_each,
             max_limit=max_limit,
         )
-        im, eim = quad_checked(
-            lambda u: math.exp(-u * u) * math.sin(r * u * u),
-            0.0,
-            8.0,
-            abs_tol=abs_each,
-            rel_tol=rel_each,
-            max_limit=max_limit,
-        )
-        result *= complex(re, im) * (2.0 / math.sqrt(math.pi))
-        err_budget += ere + eim
+        result *= val * (2.0 / math.sqrt(math.pi))
+        err_budget += err
     if err_budget > max(q.abs_tol, q.rel_tol * abs(result)):
         raise QuadratureFailure(
             f"factor errors accumulate to {err_budget:.3g}, above tolerance"
@@ -99,19 +92,30 @@ def finite_by_quadrature(
     return result
 
 
-def _log1p_and(s: float, second, e: int):
+def _log1p_and(second, e: int):
     """The summand rows log1p(r**2) and second(r), r = s/beta, of a
     spectral sum, and their tail expansions: the Taylor series
     sum_{k>=0} (-1)**k w r**m / m with (w, m) = (2, 2k + 2) for the
     first row and (1, 2k + e) for the second."""
 
-    def rows(beta):
+    def rows(s, beta):
         r = s / beta
-        return np.array((np.log1p(r * r), second(r)))
+        out = np.empty((2,) + r.shape)
+        np.log1p(r * r, out=out[0])
+        out[1] = second(r)
+        return out
 
-    def series(b, terms):
+    def series(s, b, terms):
         orders, m, signed = _taylor_terms(e, terms)
-        return orders, signed * (s / b) ** m / m
+        if np.ndim(s) == 0:  # a float s: libm's pow, which the scalar tables are written with
+            powers = (np.reshape(s, (1, 1)) / b) ** m[:, None]
+        else:  # r**(2k + 2) and r**(2k + e) from running products of r**2
+            r = s[:, None] / b
+            ladder = np.repeat(r * r, terms + 1, axis=1)
+            ladder[:, 0] = 1.0
+            np.cumprod(ladder, axis=1, out=ladder)
+            powers = np.array((ladder[:, 1:], r**e * ladder[:, :-1]))
+        return orders, signed[:, None] * powers / m[:, None]
 
     return rows, series
 
@@ -127,111 +131,101 @@ def _taylor_terms(e: int, terms: int):
     return tuple(map(tuple, m.tolist())), m, signed
 
 
-def _polar_pair(s: float):
-    """log1p((s/beta)**2) and arctan(s/beta)."""
-    return _log1p_and(s, np.arctan, 1)
+# log1p((s/beta)**2) with arctan(s/beta), for the product, and with
+# s/beta - arctan(s/beta), for its renormalized limit
+_POLAR_PAIR = _log1p_and(np.arctan, 1)
+_RENORMALIZED_PAIR = _log1p_and(lambda r: r - np.arctan(r), 3)
 
 
-def _polar(sums) -> tuple[float, float]:
-    """Modulus and phase of a product from its log1p and arctan sums."""
+def _polar(sums):
+    """Modulus and phase of a product from its log1p and arctan sums:
+    floats from the sums at one node, arrays from sums over an array."""
     log_mod, phase = sums
-    return math.exp(-0.25 * log_mod), 0.5 * phase
+    if log_mod.ndim == 0:
+        return math.exp(-0.25 * float(log_mod)), 0.5 * float(phase)
+    return np.exp(-0.25 * log_mod), 0.5 * phase
 
 
-# Node memos.  The quadratures of one command meet the same s-nodes
-# again (the flow and the regularized transform at one cutoff, the
-# renormalized transform at each theta), so the sums that depend on
-# neither theta nor the constant part are kept; cli clears them when a
-# subcommand starts.
-_MEMO_SIZE = 1 << 13
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _renormalized_sums(spec: Spectrum, s: float) -> tuple[float, float]:
-    """sum_j log1p((s/beta_j)**2) and sum_j (s/beta_j - arctan(s/beta_j))."""
-    return spec._spectral_sum(*_log1p_and(s, lambda r: r - np.arctan(r), 3), abs(s))
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _deformed_polar(d: DeformedSpectrum, s: float) -> tuple[float, float]:
-    """Modulus and phase of the product over a deformed spectrum."""
-    return _polar(d._deformed_sum(*_polar_pair(s), abs(s)))
+def _rect(mod, phase):
+    """The complex number (or array) with this modulus and phase."""
+    if np.ndim(mod) == 0:
+        return cmath.rect(mod, phase)
+    return mod * np.cos(phase) + 1j * (mod * np.sin(phase))
 
 
 def cache_clear() -> None:
-    """Empty the node memos and the tail-sum cache, so that no value
-    outlives a command."""
-    _renormalized_sums.cache_clear()
-    _deformed_polar.cache_clear()
+    """Empty the tail-sum cache, so that no value outlives a command."""
     _tail_sums.cache_clear()
 
 
-def _check_arguments(s: float, tol: float) -> None:
-    if not math.isfinite(s):
+def _check_arguments(s, tol: float) -> None:
+    if not np.all(np.isfinite(s)):
         raise ValueError(f"argument s must be finite, got {s}")
     if not tol > 0:
         raise ValueError("tol must be positive")
 
 
-def modulus_limit(spec: Spectrum, s: float, tol: float = 1e-10) -> float:
+def _renormalized_sums(spec: Spectrum, s, tol: float):
+    """sum_j log1p((s/beta_j)**2) and sum_j (s/beta_j - arctan(s/beta_j)),
+    in one pass; floats for a float s."""
+    _check_arguments(s, tol)
+    sums = spec._spectral_sum(*_RENORMALIZED_PAIR, s)
+    return sums.tolist() if sums.ndim == 1 else sums
+
+
+def modulus_limit(spec: Spectrum, s, tol: float = 1e-10):
     """Limit modulus f of the infinite product, to absolute error tol.
 
     Needs the squared reciprocals of the spectrum to be summable.  The
     log-domain sum of log1p((s/beta_j)**2) is exact to rounding: a
     direct head and a power series whose tail sums are closed forms.
+    A float for a float s, an array for an array.
     """
-    if s == 0.0:
-        return 1.0
-    _check_arguments(s, tol)
-    return math.exp(-0.25 * _renormalized_sums(spec, s)[0])
+    return renormalized_polar(spec, 0.0, s, 0.0, tol)[0]
 
 
-def renormalized_phase(
-    spec: Spectrum, const_part: float, s: float, tol: float = 1e-10
-) -> float:
+def renormalized_phase(spec: Spectrum, const_part: float, s, tol: float = 1e-10):
     """Odd phase function of the renormalized limit:
 
         -s * const_part + sum_j (s/beta_j - arctan(s/beta_j)),
 
     each term being the exact t-integral of the corresponding rational
     integrand; the sum is exact to rounding, with its tail in closed
-    form.  Odd in s; vanishes at s = 0.
+    form.  Odd in s; vanishes at s = 0.  A float for a float s, an
+    array for an array.
     """
-    if s == 0.0:
-        return 0.0
-    _check_arguments(s, tol)
-    return -s * const_part + _renormalized_sums(spec, s)[1]
+    return -s * const_part + _renormalized_sums(spec, s, tol)[1]
 
 
 def renormalized_polar(
     spec: Spectrum,
     const_part: float,
-    s: float,
+    s,
     theta: float = 0.0,
     tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Modulus and phase of the renormalized limit functional."""
-    mod = modulus_limit(spec, s, tol)
-    phase = -0.5 * (s * theta + renormalized_phase(spec, const_part, s, tol))
+):
+    """Modulus and phase of the renormalized limit functional, from one
+    pass over the spectrum."""
+    log_mod, odd = _renormalized_sums(spec, s, tol)
+    mod = math.exp(-0.25 * log_mod) if np.ndim(s) == 0 else np.exp(-0.25 * log_mod)
+    phase = -0.5 * (s * theta + (-s * const_part + odd))
     return mod, phase
 
 
 def renormalized(
     spec: Spectrum,
     const_part: float,
-    s: float,
+    s,
     theta: float = 0.0,
     tol: float = 1e-10,
-) -> complex:
+):
     """Renormalized limit: modulus_limit * exp(-i (s theta + phase)/2)."""
-    mod, phase = renormalized_polar(spec, const_part, s, theta, tol)
-    return cmath.rect(mod, phase)
+    return _rect(*renormalized_polar(spec, const_part, s, theta, tol))
 
 
-def deformed_polar(
-    d: DeformedSpectrum, s: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Modulus and phase of the full product over a deformed spectrum.
+def deformed_polar(d: DeformedSpectrum, s, tol: float = 1e-10):
+    """Modulus and phase of the full product over a deformed spectrum,
+    as floats for a float s and as arrays for an array s.
 
     Exact to rounding, so tol is only checked, at a cost that does not
     grow with large cutoffs.  Sharp cutoff: the surviving factors form a
@@ -241,21 +235,16 @@ def deformed_polar(
     the rest, whose power sums over the deformed tail are the Mellin
     series of ``spectrum._exp_power_tail``.
     """
-    if s == 0.0:
-        return 1.0, 0.0
     _check_arguments(s, tol)
-    return _deformed_polar(d, s)
+    return _polar(d._deformed_sum(*_POLAR_PAIR, s))
 
 
-def deformed(d: DeformedSpectrum, s: float, tol: float = 1e-10) -> complex:
+def deformed(d: DeformedSpectrum, s, tol: float = 1e-10):
     """Value of the product functional over the deformed spectrum."""
-    mod, phase = deformed_polar(d, s, tol)
-    return cmath.rect(mod, phase)
+    return _rect(*deformed_polar(d, s, tol))
 
 
-def flow_polar(
-    d: DeformedSpectrum, s: float, theta: float = 0.0, tol: float = 1e-10
-) -> tuple[float, float]:
+def flow_polar(d: DeformedSpectrum, s, theta: float = 0.0, tol: float = 1e-10):
     """Modulus and phase of the renormalized flow at a finite cutoff:
     the deformed product times the counterterm phase
     exp(-i s (singular_part + theta) / 2).
@@ -264,10 +253,7 @@ def flow_polar(
     return mod, phase - 0.5 * s * (singular_part(d) + theta)
 
 
-def flow(
-    d: DeformedSpectrum, s: float, theta: float = 0.0, tol: float = 1e-10
-) -> complex:
+def flow(d: DeformedSpectrum, s, theta: float = 0.0, tol: float = 1e-10):
     """Renormalized flow value; converges to :func:`renormalized` as the
     cutoff is removed."""
-    mod, phase = flow_polar(d, s, theta, tol)
-    return cmath.rect(mod, phase)
+    return _rect(*flow_polar(d, s, theta, tol))

@@ -149,7 +149,7 @@ def _singular_description(cfg: RunConfig) -> str:
 def main(ctx, config, out, fmt, seed, threads):
     """Evaluate regularized Gaussian product functionals and their
     renormalized limits, and emit data tables."""
-    ch.cache_clear()  # node values live for one subcommand
+    ch.cache_clear()  # cached tail sums live for one subcommand
     ctx.obj = {"config": config, "out": out, "fmt": fmt, "seed": seed, "threads": threads}
 
 
@@ -245,9 +245,18 @@ def z(ctx):
             est, se = pt.mc_estimate(spec, cfg.lam, n, cfg.mc)
         return (n, est, se)
 
+    thetas = cfg.theta_grid.linear()
+    # every node budget before any transform, so that an oscillation
+    # failure costs no integration
+    for n in n_values:
+        with _stage("z_decay", n=n):
+            pt.finite_window(spec, cfg.lam, n, cfg.quadrature)
+    for theta in thetas:
+        with _stage("z_theta", theta=theta):
+            pt.renormalized_window(spec, kap, cfg.lam, theta, cfg.quadrature)
     # every row first, so that a failure leaves no table behind
     decay = _pmap(decay_row, n_values, threads)
-    profile = _pmap(theta_row, cfg.theta_grid.linear(), threads)
+    profile = _pmap(theta_row, thetas, threads)
     mc_ns = [n for n in n_values if n <= 64] or [4]
     mc_rows = _pmap(mc_row, mc_ns, threads)
     path1 = _emit(cfg, "z_decay", ["n", "z_n", "bound"], decay)
@@ -268,11 +277,22 @@ def flow(ctx):
     threads = ctx.obj["threads"]
     spec, reg, theta, s = cfg.spectrum, cfg.regulator, cfg.theta, cfg.s
     kap = _renormalized_constant(cfg)
+    lam, q = cfg.lam, cfg.quadrature
+    lam_cuts = cfg.lambda_grid.geometric()
+    # every node budget before any transform, so that an oscillation
+    # failure costs no integration
+    with _stage("z_renormalized"):
+        pt.renormalized_window(spec, kap, lam, theta, q)
+    for lam_cut in lam_cuts:
+        d = DeformedSpectrum(spec, reg, lam_cut)
+        with _stage("z_flow", Lambda=lam_cut):
+            pt.flow_window(d, lam, theta, q)
+        with _stage("z_regularized", Lambda=lam_cut):
+            pt.regularized_window(d, lam, q)
     with _stage("phi_renormalized", s=s):
         phi_ref = ch.renormalized(spec, kap, s, theta)
     with _stage("z_renormalized"):
-        z_ref = pt.renormalized(spec, kap, cfg.lam, theta, cfg.quadrature)
-    lam_cuts = cfg.lambda_grid.geometric()
+        z_ref = pt.renormalized(spec, kap, lam, theta, q)
 
     def phi_row(lam_cut: float):
         with _stage("flow_phi", Lambda=lam_cut):
@@ -282,10 +302,10 @@ def flow(ctx):
     def z_row(lam_cut: float):
         d = DeformedSpectrum(spec, reg, lam_cut)
         with _stage("z_flow", Lambda=lam_cut):
-            val = pt.flow(d, cfg.lam, theta, cfg.quadrature)
+            val = pt.flow(d, lam, theta, q)
         with _stage("z_regularized", Lambda=lam_cut):
-            raw = pt.regularized(d, cfg.lam, cfg.quadrature)
-        return (lam_cut, cfg.lam, theta, val, z_ref, abs(val - z_ref), raw)
+            raw = pt.regularized(d, lam, q)
+        return (lam_cut, lam, theta, val, z_ref, abs(val - z_ref), raw)
 
     # every row first, so that a failure leaves no table behind
     phi_rows = _pmap(phi_row, lam_cuts, threads)

@@ -31,11 +31,15 @@ __all__ = [
     "McConfig",
     "transform",
     "finite",
+    "finite_window",
     "finite_bound",
     "mc_estimate",
     "renormalized",
+    "renormalized_window",
     "flow",
+    "flow_window",
     "regularized",
+    "regularized_window",
 ]
 
 _MC_CHUNK = 1 << 15
@@ -59,15 +63,23 @@ class McConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
+def _half_width(lam: float, q: QuadratureConfig) -> float:
+    if lam <= 0:
+        raise ValueError("coupling must be positive")
+    return q.half_width_sigmas * math.sqrt(2.0 * lam)
+
+
 def _window_and_limit(lam: float, q: QuadratureConfig, freq_hint: float):
     """Integration window and subdivision budget for the kernel integral.
 
     ``freq_hint`` is the dominant phase slope of the integrand in
     radians per unit s; the node estimate scales with the cycle count
     across the window, and the budget check fails loudly rather than
-    alias the oscillation.
+    alias the oscillation.  Cheap: the ``*_window`` functions give each
+    transform's budget, so that callers can check every point of a grid
+    before integrating any.
     """
-    w = q.half_width_sigmas * math.sqrt(2.0 * lam)
+    w = _half_width(lam, q)
     cycles = abs(freq_hint) * 2.0 * w / (2.0 * math.pi)
     est_nodes = int(21 * max(40.0, 8.0 * cycles))
     if est_nodes > q.max_nodes:
@@ -83,40 +95,28 @@ def _window_and_limit(lam: float, q: QuadratureConfig, freq_hint: float):
 def transform(phi, lam: float, q: QuadratureConfig | None = None, freq_hint: float = 0.0) -> complex:
     """Gaussian-kernel transform of a complex-valued function of s.
 
-    Integrates kernel(s) * phi(s) over the truncated window; the kernel
-    is the centered Gaussian density with variance 2*lam.
+    Integrates kernel(s) * phi(s) over the truncated window in one
+    complex adaptive pass; the kernel is the centered Gaussian density
+    with variance 2*lam.  ``phi`` maps an array of nodes to an array of
+    values (or to one value for all of them).
     """
-    if lam <= 0:
-        raise ValueError("coupling must be positive")
     q = q or QuadratureConfig()
-    w, max_limit = _window_and_limit(lam, q, freq_hint)
+    return _transform(phi, lam, q, _window_and_limit(lam, q, freq_hint))
+
+
+def _transform(phi, lam: float, q: QuadratureConfig, window) -> complex:
+    """:func:`transform` over a window and budget already checked."""
+    w, max_limit = window
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam)
-
-    def kernel(s: float) -> float:
-        return norm * math.exp(-s * s / (4.0 * lam))
-
-    re, re_err = quad_checked(
-        lambda s: kernel(s) * phi(s).real,
+    val, _ = quad_checked(
+        lambda s: norm * np.exp(-s * s / (4.0 * lam)) * phi(s),
         -w,
         w,
-        abs_tol=0.5 * q.abs_tol,
+        abs_tol=q.abs_tol,
         rel_tol=q.rel_tol,
         max_limit=max_limit,
     )
-    im, im_err = quad_checked(
-        lambda s: kernel(s) * phi(s).imag,
-        -w,
-        w,
-        abs_tol=0.5 * q.abs_tol,
-        rel_tol=q.rel_tol,
-        max_limit=max_limit,
-    )
-    val = complex(re, im)
-    if re_err + im_err > max(q.abs_tol, q.rel_tol * abs(val)) * 1.01:
-        raise QuadratureFailure(
-            f"transform error estimate {re_err + im_err:.3g} above tolerance"
-        )
-    return val
+    return complex(val)
 
 
 def _require_real(val: complex, q: QuadratureConfig, what: str) -> float:
@@ -138,11 +138,19 @@ def finite(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None
     if n < 1:
         raise ValueError("need at least one factor")
     q = q or QuadratureConfig()
-    c_n = spec.partial_inverse_power(1, n)
-    val = transform(
-        lambda s: characteristic.finite(spec, s, n), lam, q, freq_hint=0.5 * c_n
-    )
+    window = finite_window(spec, lam, n, q)
+    val = _transform(lambda s: characteristic.finite(spec, s, n), lam, q, window)
     return _require_real(val, q, "finite partition value")
+
+
+def finite_window(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None):
+    """Integration window and subdivision budget of :func:`finite`,
+    whose integrand's phase slope is half the partial reciprocal sum.
+
+    Raises OscillationBudgetExceeded as :func:`finite` would, before
+    any integration.
+    """
+    return _window_and_limit(lam, q or QuadratureConfig(), 0.5 * spec.partial_inverse_power(1, n))
 
 
 def finite_bound(spec: Spectrum, lam: float, n: int, tol: float = 1e-10) -> float:
@@ -214,31 +222,42 @@ def renormalized(
     which is evaluated as the full-window transform of the even real
     integrand.
     """
-    if lam <= 0:
-        raise ValueError("coupling must be positive")
     q = q or QuadratureConfig()
     inner = min(1e-11, q.abs_tol * 1e-2)
-    w = q.half_width_sigmas * math.sqrt(2.0 * lam)
-    # the odd phase term has slope sum_j (1/b_j) s^2/(b_j^2+s^2), at
-    # most sum_j min(1/b_j, w^2/b_j^3) over the window
-    split = max(spec.tail_start, int((w / spec.tail_c) ** (1.0 / spec.tail_p)) + 1)
-    tail3 = spec.inverse_power_sum(3) - spec.partial_inverse_power(3, split)
-    slope = spec.partial_inverse_power(1, split) + w * w * tail3
-    freq = 0.5 * (abs(theta) + abs(const_part) + slope)
-    _, max_limit = _window_and_limit(lam, q, freq)
+    w, max_limit = renormalized_window(spec, const_part, lam, theta, q)
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam)
 
-    def integrand(s: float) -> float:
-        mod = characteristic.modulus_limit(spec, s, inner)
-        ph = 0.5 * (
-            s * theta + characteristic.renormalized_phase(spec, const_part, s, inner)
-        )
-        return norm * math.exp(-s * s / (4.0 * lam)) * mod * math.cos(ph)
+    def integrand(s):
+        mod, phase = characteristic.renormalized_polar(spec, const_part, s, theta, inner)
+        return norm * np.exp(-s * s / (4.0 * lam)) * mod * np.cos(phase)
 
     val, _ = quad_checked(
         integrand, -w, w, abs_tol=q.abs_tol, rel_tol=q.rel_tol, max_limit=max_limit
     )
     return val
+
+
+def renormalized_window(
+    spec: Spectrum,
+    const_part: float,
+    lam: float,
+    theta: float = 0.0,
+    q: QuadratureConfig | None = None,
+):
+    """Integration window and subdivision budget of :func:`renormalized`.
+
+    The integrand's phase slope over the window is half of |theta| +
+    |const_part| plus the slope of the odd phase term, sum_j (1/b_j)
+    s^2/(b_j^2+s^2), which is at most sum_j min(1/b_j, w^2/b_j^3).
+    Raises OscillationBudgetExceeded as :func:`renormalized` would,
+    before any integration.
+    """
+    q = q or QuadratureConfig()
+    w = _half_width(lam, q)
+    split = max(spec.tail_start, int((w / spec.tail_c) ** (1.0 / spec.tail_p)) + 1)
+    tail3 = spec.inverse_power_sum(3) - spec.partial_inverse_power(3, split)
+    slope = spec.partial_inverse_power(1, split) + w * w * tail3
+    return _window_and_limit(lam, q, 0.5 * (abs(theta) + abs(const_part) + slope))
 
 
 def flow(
@@ -256,14 +275,21 @@ def flow(
     """
     q = q or QuadratureConfig()
     inner = min(1e-11, q.abs_tol * 1e-2)
-    resid = d.inverse_sum(inner) - singular_part(d) - theta
-    val = transform(
-        lambda s: characteristic.flow(d, s, theta, inner),
-        lam,
-        q,
-        freq_hint=0.5 * abs(resid) + 0.5,
-    )
+    window = flow_window(d, lam, theta, q)
+    val = _transform(lambda s: characteristic.flow(d, s, theta, inner), lam, q, window)
     return _require_real(val, q, "flow partition value")
+
+
+def flow_window(
+    d: DeformedSpectrum, lam: float, theta: float = 0.0, q: QuadratureConfig | None = None
+):
+    """Integration window and subdivision budget of :func:`flow`: the
+    counterterm leaves a phase slope of half the residual reciprocal
+    sum, plus 1/2.  Raises OscillationBudgetExceeded as :func:`flow`
+    would, before any integration.
+    """
+    freq = 0.5 * abs(d.inverse_sum() - singular_part(d) - theta) + 0.5
+    return _window_and_limit(lam, q or QuadratureConfig(), freq)
 
 
 def regularized(
@@ -276,11 +302,15 @@ def regularized(
     """
     q = q or QuadratureConfig()
     inner = min(1e-11, q.abs_tol * 1e-2)
-    c_lam = d.inverse_sum(inner)
-    val = transform(
-        lambda s: characteristic.deformed(d, s, inner),
-        lam,
-        q,
-        freq_hint=0.5 * c_lam,
-    )
+    window = regularized_window(d, lam, q)
+    val = _transform(lambda s: characteristic.deformed(d, s, inner), lam, q, window)
     return _require_real(val, q, "regularized partition value")
+
+
+def regularized_window(d: DeformedSpectrum, lam: float, q: QuadratureConfig | None = None):
+    """Integration window and subdivision budget of :func:`regularized`,
+    whose integrand's phase slope is half the deformed reciprocal sum.
+    Raises OscillationBudgetExceeded as :func:`regularized` would,
+    before any integration.
+    """
+    return _window_and_limit(lam, q or QuadratureConfig(), 0.5 * d.inverse_sum())

@@ -127,7 +127,7 @@ class DeformedSpectrum:
             m -= 1
         return max(m, 0)
 
-    def _deformed_sum(self, f, series, radius: float = 0.0) -> tuple[float, ...]:
+    def _deformed_sum(self, f, series, s=0.0) -> np.ndarray:
         """``Spectrum._spectral_sum`` over the deformed elements: the
         sharp cutoff's survivors, the tail ending at
         :meth:`sharp_tail_max_index`, or the exponentially deformed
@@ -135,10 +135,10 @@ class DeformedSpectrum:
         spec = self.base
         if isinstance(self.reg, SharpCutoff):
             return spec._spectral_sum(
-                f, series, radius, upper=max(self.sharp_tail_max_index(), spec.tail_start - 1),
+                f, series, s, upper=max(self.sharp_tail_max_index(), spec.tail_start - 1),
                 thresh=self.reg.a**2 * self.cutoff,
             )
-        return spec._spectral_sum(f, series, radius, exp_cutoff=self.cutoff)
+        return spec._spectral_sum(f, series, s, exp_cutoff=self.cutoff)
 
     # -- reciprocal sum -----------------------------------------------------
 
@@ -154,7 +154,7 @@ class DeformedSpectrum:
         """
         if not tol > 0:
             raise ValueError("tol must be positive")
-        return self._deformed_sum(*_power(1))[0]
+        return float(self._deformed_sum(*_power(1))[0])
 
 
 def singular_part(d: DeformedSpectrum) -> float:

@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
+# Node-by-element pairs one step of a batched sum evaluates at most, so
+# that many nodes against a long direct head stay in bounded memory.
+_BATCH = 1 << 16
 # Hard stop for direct summation; sums needing more direct terms than
 # this are refused rather than silently degraded.
 _MAX_TERMS = 1 << 28
@@ -139,7 +142,7 @@ class Spectrum:
 
     def partial_inverse_power(self, k: float, n: int) -> float:
         """sum_{j<=n} beta_j**-k."""
-        return self._spectral_sum(*_power(k), upper=n)[0]
+        return float(self._spectral_sum(*_power(k), upper=n)[0])
 
     def inverse_power_sum(self, k: int, tol: float = 1e-10) -> float:
         """sum_j beta_j**-k with absolute error at most tol.
@@ -158,7 +161,7 @@ class Spectrum:
             raise DivergentSum(
                 f"order-{k} inverse-power sum diverges for tail exponent {self.tail_p}"
             )
-        return self._spectral_sum(*_power(k))[0]
+        return float(self._spectral_sum(*_power(k))[0])
 
     # -- summation engine -------------------------------------------------
 
@@ -166,28 +169,37 @@ class Spectrum:
         self,
         f,
         series,
-        radius: float = 0.0,
+        s=0.0,
         upper=math.inf,
         thresh: float = math.inf,
         exp_cutoff: float | None = None,
-    ) -> tuple[float, ...]:
-        """Row sums of f(beta_j) over the j <= upper with beta_j <= thresh.
+    ) -> np.ndarray:
+        """Row sums of f(s, beta_j) over the j <= upper with beta_j <=
+        thresh, at every node of s: an array of shape (rows,) +
+        np.shape(s).
 
-        ``f`` maps a block of elements to an array of shape (rows,
-        len(block)), one row per summand, so several sums over the same
-        elements share one pass.  Elements up to the tail index J =
-        max(256, first j with radius / beta_j <= 1/2), capped at
-        ``upper``, are summed directly, block by block, and masked by
-        ``thresh``; past J the caller caps ``upper`` at the threshold.
-        There ``series(b, K)`` gives the orders m, a tuple of rows of K
-        numbers, and the weights w, an array of shape (rows, K), with
-        row i of f(beta) = sum_k w_ik (b/beta)**m_ik, b = beta_{J+1},
-        truncated after K terms of an expansion in radius/beta; each
-        distinct order is summed once, in closed form, for every row
-        that uses it.  K follows from the geometric bound
+        ``f`` maps a column of nodes and a block of elements to an array
+        of shape (rows, nodes, len(block)), one row per summand, so
+        several sums over the same elements share one pass; the nodes go
+        in slices of at most ``_BATCH`` node-element pairs per block (one
+        node at a time against blocks longer than that).  Elements up
+        to the tail index J = max(256, first j with radius / beta_j <=
+        1/2), capped at ``upper``, are summed directly, block by block,
+        and masked by ``thresh``; past J the caller caps ``upper`` at
+        the threshold.  The nodes are summed in runs of ascending |s|,
+        each with radius = its largest |s| (see :meth:`_runs`).  Past J, ``series(s, b, K)`` gives the orders m,
+        a tuple of rows of K numbers, and the weights w, an array of
+        shape (rows, nodes, K) (one node for a float s), with row i of
+        f(s, beta) = sum_k w_ik (b/beta)**m_ik, b = beta_{J+1}, truncated
+        after K terms of an expansion in radius/beta; each distinct
+        order is summed once, in closed form and free of s, for every
+        row and node that uses it.  K follows from the geometric bound
         (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with n the tail length
         (2 (J+1) for an infinite tail, which bounds sum_{j>J}
         (b/beta_j)**m once m p >= 2), so each sum is exact to rounding.
+        A float s takes ``series`` a float and BLAS dot products, the
+        arithmetic the scalar tables are written with; an array s, the
+        batched arithmetic, whatever its length.
 
         With ``exp_cutoff`` L the sums run over the exponentially
         deformed elements beta_j e^{x_j}, x_j = sqrt(beta_j / L), to
@@ -197,8 +209,26 @@ class Spectrum:
         tail sums are :func:`_exp_power_tail`'s.
 
         Raises NoConvergence, before summing, if J exceeds the term
-        budget, and DivergentSum if an infinite tail diverges.
+        budget, or if the deformed tail sums overflow, and DivergentSum
+        if an infinite tail diverges.
         """
+        shape = np.shape(s)
+        nodes = np.ravel(np.asarray(s, dtype=float))
+        if not shape:
+            return self._run(f, series, nodes, upper, thresh, exp_cutoff, scalar=True)[:, 0]
+        runs = self._runs(np.abs(nodes), upper, exp_cutoff)
+        if len(runs) == 1:
+            total = self._run(f, series, nodes, upper, thresh, exp_cutoff)
+        else:
+            index = np.concatenate(runs)
+            parts = [self._run(f, series, nodes[run], upper, thresh, exp_cutoff) for run in runs]
+            total = np.empty((parts[0].shape[0], len(nodes)))
+            total[:, index] = np.concatenate(parts, axis=1)
+        return total.reshape(total.shape[:1] + shape)
+
+    def _plan(self, radius: float, upper, exp_cutoff: float | None):
+        """The tail index J of a sum at |s| <= radius, and its upper end
+        (cut to J when no series follows)."""
         c, p = self.tail_c, self.tail_p
         far = max(_HEAD_TERMS, self.tail_start - 1)
         if exp_cutoff is not None:
@@ -206,6 +236,46 @@ class Spectrum:
         elif radius > 0.0:
             need = (math.log(2.0 * radius) - math.log(c)) / p
             far = max(far, math.ceil(math.exp(min(need, 100.0))))
+        return far, upper
+
+    def _runs(self, radii: np.ndarray, upper, exp_cutoff: float | None) -> list[np.ndarray]:
+        """The node indices in ascending |s|, cut into runs in which
+        every node's own direct range, min(J, upper), is over half that
+        of the run's largest |s|; one run, in the given order, when the
+        smallest |s| already qualifies.  So a node sums at most twice
+        its own direct terms, there are at most 1 + log2(largest range
+        / smallest range) runs, and each is found by bisection."""
+
+        def cost(radius):
+            return min(self._plan(float(radius), upper, exp_cutoff))
+
+        top = cost(np.max(radii, initial=0.0))
+        if 2 * cost(np.min(radii, initial=0.0)) > top:
+            return [np.arange(len(radii))]
+        order = np.argsort(radii, kind="stable")
+        ordered = radii[order]
+        runs, hi = [], len(ordered)
+        while hi > 0:
+            top = cost(ordered[hi - 1])
+            # cost(ordered[first]) > top / 2 >= cost(ordered[lo]), lo = -1
+            # standing for a node before the first
+            lo, first = -1, hi - 1
+            while first - lo > 1:
+                mid = (lo + first) // 2
+                if 2 * cost(ordered[mid]) > top:
+                    first = mid
+                else:
+                    lo = mid
+            runs.append(order[first:hi])
+            hi = first
+        return runs
+
+    def _run(self, f, series, nodes, upper, thresh, exp_cutoff, scalar=False) -> np.ndarray:
+        """:meth:`_spectral_sum` at the 1-D ``nodes``, all with the plan
+        of the largest |s|; shape (rows, nodes)."""
+        radius = float(np.max(np.abs(nodes), initial=0.0))
+        c, p = self.tail_c, self.tail_p
+        far, upper = self._plan(radius, upper, exp_cutoff)
         last = min(far, upper)
         if last > _MAX_TERMS:
             raise NoConvergence(
@@ -216,24 +286,47 @@ class Spectrum:
             if exp_cutoff is not None:
                 with np.errstate(over="ignore"):
                     block = block * np.exp(np.sqrt(block / exp_cutoff))
-            total = total + np.add.reduce(f(block[block <= thresh]), axis=1)
-        if upper <= far:
-            return tuple(total.tolist())
-        a = far + 1
-        b = c * float(a) ** p
-        if exp_cutoff is None:
-            count = upper - far if upper < math.inf else 2 * a
-            terms, x = math.ceil(math.log(count, 4) + _SERIES_TERMS), None
-        else:
-            x = math.sqrt(b / exp_cutoff)
-            bits = math.log(2 * a) + 2 * _SERIES_TERMS * math.log(2.0)
-            terms = math.ceil(bits / (2.0 * (math.log(2.0) + 2.0 * x)))
-            b *= math.exp(x)
-        orders, weights = series(b, terms)
-        tail = _tail_sums(orders, p, a, upper, x)
-        return tuple(
-            t + float(np.dot(w, row)) for t, w, row in zip(total.tolist(), weights, tail)
-        )
+            kept = block[block <= thresh]
+            total = total + _by_nodes(
+                lambda part: np.add.reduce(f(part[:, None], kept), axis=-1), nodes, kept.size
+            )
+        if upper > far:
+            a = far + 1
+            b = c * float(a) ** p
+            if exp_cutoff is None:
+                count = upper - far if upper < math.inf else 2 * a
+                terms, x = math.ceil(math.log(count, 4) + _SERIES_TERMS), None
+            else:
+                x = math.sqrt(b / exp_cutoff)
+                bits = math.log(2 * a) + 2 * _SERIES_TERMS * math.log(2.0)
+                terms = math.ceil(bits / (2.0 * (math.log(2.0) + 2.0 * x)))
+                b *= math.exp(x)
+
+            def tail(part):
+                orders, weights = series(part[0] if scalar else part, b, terms)
+                sums = _tail_sums(orders, p, a, upper, x)
+                if not np.all(np.isfinite(sums)):
+                    at = "" if exp_cutoff is None else f", cutoff L = {exp_cutoff:g}"
+                    raise NoConvergence(
+                        f"tail sums overflow the float range at tail exponent p = {p:g}{at}"
+                    )
+                if scalar:
+                    return np.array([[np.dot(w[0], t)] for w, t in zip(weights, sums)])
+                return np.matmul(weights, sums[:, :, None])[..., 0]
+
+            total = total + _by_nodes(tail, nodes, terms)
+        return total
+
+
+def _by_nodes(fn, nodes: np.ndarray, width: int) -> np.ndarray:
+    """fn over slices of the nodes, max(1, _BATCH // width) nodes each,
+    so that a (slice, width) temporary holds at most ``_BATCH``
+    elements, or one node's ``width``; the results, of shape (rows,
+    nodes in the slice), are joined along the nodes."""
+    step = max(1, _BATCH // max(width, 1))
+    if len(nodes) <= step:
+        return fn(nodes)
+    return np.concatenate([fn(nodes[i : i + step]) for i in range(0, len(nodes), step)], axis=1)
 
 
 def _exp_head(c: float, p: float, head: int, radius: float, cutoff: float):
@@ -287,16 +380,16 @@ def _head(spec: Spectrum, last: int) -> tuple[np.ndarray, ...]:
 
 
 def _power(k: float):
-    """The summand beta**-k, as a single row, and its tail expansion,
-    the single power b**-k (b/beta)**k."""
+    """The s-free summand beta**-k, as a single row at a single node,
+    and its tail expansion, the single power b**-k (b/beta)**k."""
     return (
-        lambda beta: (beta ** (-float(k)))[None],
-        lambda b, terms: (((k,),), np.array([[b ** (-float(k))]])),
+        lambda s, beta: (beta ** (-float(k)))[None, None],
+        lambda s, b, terms: (((k,),), np.array([[[b ** (-float(k))]]])),
     )
 
 
-# Cached: the tail sums do not depend on s, and a quadrature asks for
-# the same ones at every node.
+# Cached: the tail sums do not depend on s, and every batch of nodes of a
+# quadrature asks for the same ones.
 @functools.lru_cache(maxsize=256)
 def _tail_sums(orders: tuple, p: float, a: int, upper, x_a: float | None = None) -> np.ndarray:
     """a**x * sum_{j=a}^{upper} j**-x at x = p m for the orders m of
@@ -416,7 +509,8 @@ def _exp_power_tail(q: np.ndarray, p: float, a: int, x_a: float) -> np.ndarray:
     terms[rows, star[rows]] = weights[rows, star[rows]] * bracket
     out = terms.sum(axis=1)
     w0 = 2.0 / p - 2.0 * q[lone]
-    out[lone] += (2.0 / p) * a * special.gamma(w0) * np.exp(lam[lone] - w0 * np.log(lam[lone]))
+    with np.errstate(over="ignore"):  # past the float range: callers refuse the inf
+        out[lone] += (2.0 / p) * a * special.gamma(w0) * np.exp(lam[lone] - w0 * np.log(lam[lone]))
     return out
 
 

@@ -13,6 +13,7 @@ from mpmath import atan, euler, exp, inf, log, loggamma, mp, mpc, mpf, nsum, pi,
 import renorm as rn
 from renorm import characteristic as ch
 from renorm import partition as pt
+from renorm import spectrum
 
 mp.dps = 40
 
@@ -198,33 +199,99 @@ def test_renormalized_pair_matches_gamma_closed_forms(p, c, head, s):
     assert abs(ch.renormalized_phase(spec, 0.0, s) - float(total.imag)) <= 1e-12
 
 
-def test_node_memos_are_pure():
-    # a memo hit returns the bits a fresh evaluation computes, for both
-    # profiles; the exponential node at s = 11 takes the long direct
-    # head, the others the Mellin tail
-    spec = rn.ExplicitWithTail([0.7, 2.5], 4.0, 1.0)
-    sharp = rn.DeformedSpectrum(spec, rn.SharpCutoff(2.0), 1e4)
-    expo = rn.DeformedSpectrum(spec, rn.Exponential(), 50.0)
-    nodes = [-3.7, -0.4, 0.9, 2.2, 11.0]
+def _spectrum_with_head(p, c, head):
+    return rn.ExplicitWithTail(head, c, p) if head else rn.PowerLaw(c, p)
 
-    def values():
-        return [
-            (ch.deformed_polar(sharp, s), ch.deformed_polar(expo, s),
-             ch.modulus_limit(spec, s), ch.renormalized_phase(spec, 0.3, s))
-            for s in nodes
-        ]
 
-    ch.cache_clear()
-    fresh = values()
-    hits = ch._deformed_polar.cache_info().hits
-    memo = values()
-    assert ch._deformed_polar.cache_info().hits == hits + 2 * len(nodes)
-    ch.cache_clear()
-    assert fresh == memo == values()
-    for s, (polar, exp_polar, _, _) in zip(nodes, fresh):
-        ch.cache_clear()  # the tail sums as well
-        assert polar == ch._polar(sharp._deformed_sum(*ch._polar_pair(s), abs(s)))
-        assert exp_polar == ch._polar(expo._deformed_sum(*ch._polar_pair(s), abs(s)))
+def _batch_nodes(xs):
+    # mixed signs, s = 0 and repeated nodes in one batch
+    return np.array(xs + [0.0] + xs[:2] + [-x for x in xs] + [0.0])
+
+
+def _batch_values(spec, s):
+    """Every batched characteristic value of the spectrum at the nodes s:
+    finite sections, both deformations and the renormalized pair."""
+    sharp = rn.DeformedSpectrum(spec, rn.SharpCutoff(1.5), 4e3)
+    expo = rn.DeformedSpectrum(spec, rn.Exponential(), 70.0)
+    return {
+        "finite": ch.finite_polar(spec, s, 1000),
+        "sharp": ch.deformed_polar(sharp, s),
+        "exponential": ch.deformed_polar(expo, s),
+        "renormalized": (ch.modulus_limit(spec, s), ch.renormalized_phase(spec, 0.3, s)),
+    }
+
+
+BATCH_SPECTRA = dict(
+    p=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.6, 2.5)),
+    c=st.floats(0.5, 4.0),
+    head=st.lists(st.floats(0.1, 50.0), max_size=3),
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(xs=st.lists(st.floats(-14.0, 14.0), min_size=1, max_size=12), **BATCH_SPECTRA)
+def test_batch_matches_scalar_evaluation(xs, p, c, head):
+    # a batch node sums its head up to the index set by the largest |s|
+    # of its run, a lone node up to its own, so the two agree to
+    # rounding (the exponential Mellin tail to about 1e-14), not to the bit
+    spec = _spectrum_with_head(p, c, head)
+    s = _batch_nodes(xs)
+    batch = _batch_values(spec, s)
+    for i, x in enumerate(s):
+        scalar = _batch_values(spec, float(x))
+        for key, (mod, phase) in batch.items():
+            want_mod, want_phase = scalar[key]
+            assert isinstance(want_mod, float) and isinstance(want_phase, float)
+            assert abs(mod[i] - want_mod) <= 3e-14
+            assert abs(phase[i] - want_phase) <= 3e-14 * max(1.0, abs(want_phase))
+
+
+def test_batch_nodes_pay_for_their_own_head(monkeypatch):
+    # at |s| > 2 L / e**2 the exponential profile's series cannot start
+    # and the direct head runs to x_j = 40 (64,000 terms at L = 40);
+    # the other nodes of the batch keep their own short heads
+    expo = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), 40.0)
+    s = np.linspace(-11.3, 11.3, 43)
+    pairs = []
+    by_nodes = spectrum._by_nodes
+
+    def counting(fn, nodes, width):
+        pairs.append(len(nodes) * width)
+        return by_nodes(fn, nodes, width)
+
+    monkeypatch.setattr(spectrum, "_by_nodes", counting)
+    mod, phase = ch.deformed_polar(expo, s)
+    batch = sum(pairs)
+    pairs.clear()
+    scalar = [ch.deformed_polar(expo, float(x)) for x in s]
+    assert batch <= 2 * sum(pairs)
+    assert np.max(np.abs(mod - [m for m, _ in scalar])) <= 3e-14
+    assert np.max(np.abs(phase - [ph for _, ph in scalar])) <= 3e-14
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(xs=st.lists(st.floats(-14.0, 14.0), min_size=1, max_size=12), **BATCH_SPECTRA)
+def test_batch_modulus_even_and_phase_odd(xs, p, c, head):
+    spec = _spectrum_with_head(p, c, head)
+    s = np.array(xs)
+    values = _batch_values(spec, np.concatenate((s, -s)))
+    for key, (mod, phase) in values.items():
+        assert np.array_equal(mod[: len(s)], mod[len(s):])
+        assert np.array_equal(phase[: len(s)], -phase[len(s):])
+        assert np.all((0.0 < mod) & (mod <= 1.0))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    p=st.floats(0.6, 2.5),
+    c=st.floats(0.5, 4.0),
+    head=st.lists(st.floats(0.3, 50.0), max_size=3),
+    lam=st.floats(0.1, 3.0),
+    n=st.integers(1, 2000),
+)
+def test_decay_certificate_bounds_partition_value(p, c, head, lam, n):
+    spec = _spectrum_with_head(p, c, head)
+    assert pt.finite_bound(spec, lam, n) >= abs(pt.finite(spec, lam, n))
 
 
 def test_quadrature_oracle_matches():

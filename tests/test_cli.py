@@ -145,14 +145,21 @@ def test_oscillation_budget_exit_3(tmp_path):
         ("z", {"theta_grid": {"min": 0.0, "max": 1e4, "count": 2}}, "z_theta at theta = 10000"),
     ],
 )
-def test_numeric_failure_leaves_no_table(tmp_path, command, overrides, stage):
+def test_numeric_failure_leaves_no_table(tmp_path, monkeypatch, command, overrides, stage):
+    # every grid point's node budget is checked before the first transform
+    from renorm import partition as pt
+
+    integrals = []
+    monkeypatch.setattr(pt, "quad_checked", lambda *args, **kwargs: integrals.append(args))
     cfg = _write_config(tmp_path, overrides)
     result = RUNNER.invoke(main, ["--config", str(cfg), command])
     assert result.exit_code == 3, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert f"Error: {command}: {stage}: " in result.output
+    assert "nodes across the window" in result.output
     assert list((tmp_path / "out").glob("*")) == []
+    assert integrals == []
 
 
 def test_thread_count_does_not_change_tables(tmp_path):
@@ -170,16 +177,14 @@ def test_thread_count_does_not_change_tables(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_node_memos_live_for_one_subcommand(tmp_path):
-    from renorm import characteristic as ch
+def test_tail_sums_live_for_one_subcommand(tmp_path):
+    from renorm.spectrum import _tail_sums
 
     cfg = _write_config(tmp_path, {})
     assert RUNNER.invoke(main, ["--config", str(cfg), "flow"]).exit_code == 0
-    assert ch._deformed_polar.cache_info().currsize > 0
-    assert ch._renormalized_sums.cache_info().currsize > 0
-    assert RUNNER.invoke(main, ["--config", str(cfg), "spectrum"]).exit_code == 0
-    assert ch._deformed_polar.cache_info().currsize == 0
-    assert ch._renormalized_sums.cache_info().currsize == 0
+    assert _tail_sums.cache_info().currsize > 0
+    assert RUNNER.invoke(main, ["--config", str(cfg), "verify", "--list"]).exit_code == 0
+    assert _tail_sums.cache_info().currsize == 0
 
 
 def test_unbounded_n_grid_finishes(tmp_path):

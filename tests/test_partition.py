@@ -21,9 +21,11 @@ Z_RENORM_HARMONIC = 0.686373255579815
 
 
 def test_kernel_normalization():
-    for lam in (1e-6, 0.5, 1.0, 7.0):
-        val = pt.transform(lambda s: 1.0 + 0.0j, lam, TIGHT)
-        assert abs(val - 1.0) < 1e-10
+    # a constant phi returns one value for every node, which broadcasts
+    for q in (TIGHT, None):
+        for lam in (1e-6, 0.5, 1.0, 7.0):
+            val = pt.transform(lambda s: 1.0 + 0.0j, lam, q)
+            assert abs(val - 1.0) < 1e-10
 
 
 def test_transform_rejects_bad_coupling():

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 import numpy as np
@@ -233,6 +234,29 @@ def test_exponential_tail_sums_match_references():
                 mod, phase = ch.deformed_polar(d, s)
                 assert abs(mod - ref[0]) <= 1e-12
                 assert abs(phase - ref[1]) <= 1e-12
+
+
+def test_exponential_tail_overflow_is_refused():
+    # for tail exponents below about 0.47 the deformed tail sums grow
+    # like L**(1/p - 1) and leave the float range at huge cutoffs: the
+    # sums refuse, naming p and L, with no inf returned and no warning
+    d = rn.DeformedSpectrum(rn.PowerLaw(1857.0, 0.41), rn.Exponential(), 1.06e244)
+    calls = (
+        d.inverse_sum,
+        lambda: ch.deformed_polar(d, 1.0),
+        lambda: ch.deformed_polar(d, np.array([0.0, -2.0, 3.0])),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(rn.NoConvergence, match=r"p = 0\.41, cutoff L = 1\.06e\+244"):
+                call()
+        # p >= 1 stays finite at the largest cutoffs
+        for p in (1.0, 1.5, 2.0):
+            e = rn.DeformedSpectrum(rn.ExplicitWithTail([0.5], 1.3, p), rn.Exponential(), 1e300)
+            assert 0.0 < e.inverse_sum() < math.inf
+            mod, phase = ch.deformed_polar(e, np.array([-2.5, 0.0, 2.5]))
+            assert np.all((0.0 < mod) & (mod <= 1.0)) and np.all(np.isfinite(phase))
 
 
 def test_sharp_tail_index_brackets_threshold():
