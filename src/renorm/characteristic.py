@@ -15,7 +15,6 @@ the divergent part of the reciprocal sum.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
@@ -26,38 +25,27 @@ from .regulator import DeformedSpectrum, singular_part
 from .spectrum import Spectrum, _tail_sums
 
 __all__ = [
-    "finite",
     "finite_polar",
     "finite_by_quadrature",
-    "modulus_limit",
-    "renormalized_phase",
-    "renormalized",
     "renormalized_polar",
-    "deformed",
     "deformed_polar",
-    "flow",
     "flow_polar",
 ]
 
 
 def finite_polar(spec: Spectrum, s, n: int):
     """Modulus and (continuous, unwrapped) phase of the n-factor
-    product, as floats for a float s and as arrays for an array s."""
+    product, as numpy scalars for a float s and as arrays for an array
+    s."""
     if n < 1:
         raise ValueError("need at least one factor")
     return _polar(spec._spectral_sum(*_POLAR_PAIR, s, upper=n))
 
 
-def finite(spec: Spectrum, s, n: int):
-    """Value of the n-factor characteristic product at real s (a float
-    or an array)."""
-    return _rect(*finite_polar(spec, s, n))
-
-
 def finite_by_quadrature(
     spec: Spectrum, s: float, n: int, q: QuadratureConfig | None = None
 ) -> complex:
-    """Independent oracle for :func:`finite` on small instances.
+    """Independent oracle for :func:`finite_polar` on small instances.
 
     Each factor is the 1-D integral of exp(-u**2 + i r u**2) / sqrt(pi)
     with r = s / beta_j, truncated at |u| = 8 where the envelope is
@@ -107,14 +95,12 @@ def _log1p_and(second, e: int):
 
     def series(s, b, terms):
         orders, m, signed = _taylor_terms(e, terms)
-        if np.ndim(s) == 0:  # a float s: libm's pow, which the scalar tables are written with
-            powers = (np.reshape(s, (1, 1)) / b) ** m[:, None]
-        else:  # r**(2k + 2) and r**(2k + e) from running products of r**2
-            r = s[:, None] / b
-            ladder = np.repeat(r * r, terms + 1, axis=1)
-            ladder[:, 0] = 1.0
-            np.cumprod(ladder, axis=1, out=ladder)
-            powers = np.array((ladder[:, 1:], r**e * ladder[:, :-1]))
+        # r**(2k + 2) and r**(2k + e) from running products of r**2
+        r = s[:, None] / b
+        ladder = np.repeat(r * r, terms + 1, axis=1)
+        ladder[:, 0] = 1.0
+        np.cumprod(ladder, axis=1, out=ladder)
+        powers = np.array((ladder[:, 1:], r**e * ladder[:, :-1]))
         return orders, signed[:, None] * powers / m[:, None]
 
     return rows, series
@@ -138,19 +124,9 @@ _RENORMALIZED_PAIR = _log1p_and(lambda r: r - np.arctan(r), 3)
 
 
 def _polar(sums):
-    """Modulus and phase of a product from its log1p and arctan sums:
-    floats from the sums at one node, arrays from sums over an array."""
+    """Modulus and phase of a product from its log1p and arctan sums."""
     log_mod, phase = sums
-    if log_mod.ndim == 0:
-        return math.exp(-0.25 * float(log_mod)), 0.5 * float(phase)
     return np.exp(-0.25 * log_mod), 0.5 * phase
-
-
-def _rect(mod, phase):
-    """The complex number (or array) with this modulus and phase."""
-    if np.ndim(mod) == 0:
-        return cmath.rect(mod, phase)
-    return mod * np.cos(phase) + 1j * (mod * np.sin(phase))
 
 
 def cache_clear() -> None:
@@ -158,102 +134,45 @@ def cache_clear() -> None:
     _tail_sums.cache_clear()
 
 
-def _check_arguments(s, tol: float) -> None:
-    if not np.all(np.isfinite(s)):
-        raise ValueError(f"argument s must be finite, got {s}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+def renormalized_polar(spec: Spectrum, const_part: float, s, theta: float = 0.0):
+    """Modulus and phase of the renormalized limit functional
+    f(s) exp(-i (s theta + phase(s)) / 2), from one pass over the
+    spectrum; numpy scalars for a float s, arrays for an array s.
 
+    The limit modulus f needs the squared reciprocals of the spectrum to
+    be summable; its log-domain sum of log1p((s/beta_j)**2) is exact to
+    rounding: a direct head and a power series whose tail sums are
+    closed forms.  The odd phase function
 
-def _renormalized_sums(spec: Spectrum, s, tol: float):
-    """sum_j log1p((s/beta_j)**2) and sum_j (s/beta_j - arctan(s/beta_j)),
-    in one pass; floats for a float s."""
-    _check_arguments(s, tol)
-    sums = spec._spectral_sum(*_RENORMALIZED_PAIR, s)
-    return sums.tolist() if sums.ndim == 1 else sums
+        phase(s) = -s * const_part + sum_j (s/beta_j - arctan(s/beta_j))
 
-
-def modulus_limit(spec: Spectrum, s, tol: float = 1e-10):
-    """Limit modulus f of the infinite product, to absolute error tol.
-
-    Needs the squared reciprocals of the spectrum to be summable.  The
-    log-domain sum of log1p((s/beta_j)**2) is exact to rounding: a
-    direct head and a power series whose tail sums are closed forms.
-    A float for a float s, an array for an array.
+    sums the exact t-integrals of the corresponding rational integrands,
+    exact to rounding with its tail in closed form; it vanishes at s = 0.
     """
-    return renormalized_polar(spec, 0.0, s, 0.0, tol)[0]
+    log_mod, odd = spec._spectral_sum(*_RENORMALIZED_PAIR, s)
+    return np.exp(-0.25 * log_mod), -0.5 * (s * theta + (-s * const_part + odd))
 
 
-def renormalized_phase(spec: Spectrum, const_part: float, s, tol: float = 1e-10):
-    """Odd phase function of the renormalized limit:
-
-        -s * const_part + sum_j (s/beta_j - arctan(s/beta_j)),
-
-    each term being the exact t-integral of the corresponding rational
-    integrand; the sum is exact to rounding, with its tail in closed
-    form.  Odd in s; vanishes at s = 0.  A float for a float s, an
-    array for an array.
-    """
-    return -s * const_part + _renormalized_sums(spec, s, tol)[1]
-
-
-def renormalized_polar(
-    spec: Spectrum,
-    const_part: float,
-    s,
-    theta: float = 0.0,
-    tol: float = 1e-10,
-):
-    """Modulus and phase of the renormalized limit functional, from one
-    pass over the spectrum."""
-    log_mod, odd = _renormalized_sums(spec, s, tol)
-    mod = math.exp(-0.25 * log_mod) if np.ndim(s) == 0 else np.exp(-0.25 * log_mod)
-    phase = -0.5 * (s * theta + (-s * const_part + odd))
-    return mod, phase
-
-
-def renormalized(
-    spec: Spectrum,
-    const_part: float,
-    s,
-    theta: float = 0.0,
-    tol: float = 1e-10,
-):
-    """Renormalized limit: modulus_limit * exp(-i (s theta + phase)/2)."""
-    return _rect(*renormalized_polar(spec, const_part, s, theta, tol))
-
-
-def deformed_polar(d: DeformedSpectrum, s, tol: float = 1e-10):
+def deformed_polar(d: DeformedSpectrum, s):
     """Modulus and phase of the full product over a deformed spectrum,
-    as floats for a float s and as arrays for an array s.
+    as numpy scalars for a float s and as arrays for an array s.
 
-    Exact to rounding, so tol is only checked, at a cost that does not
-    grow with large cutoffs.  Sharp cutoff: the surviving factors form a
-    finite product (dropped factors contribute 1) whose surviving
-    power-law tail is summed in closed form.  Exponential profile: a
-    direct head of factors, then the log1p and arctan Taylor series of
-    the rest, whose power sums over the deformed tail are the Mellin
-    series of ``spectrum._exp_power_tail``.
+    Exact to rounding, at a cost that does not grow with large cutoffs.
+    Sharp cutoff: the surviving factors form a finite product (dropped
+    factors contribute 1) whose surviving power-law tail is summed in
+    closed form.  Exponential profile: a direct head of factors, then
+    the log1p and arctan Taylor series of the rest, whose power sums
+    over the deformed tail are the Mellin series of
+    ``spectrum._exp_power_tail``.
     """
-    _check_arguments(s, tol)
     return _polar(d._deformed_sum(*_POLAR_PAIR, s))
 
 
-def deformed(d: DeformedSpectrum, s, tol: float = 1e-10):
-    """Value of the product functional over the deformed spectrum."""
-    return _rect(*deformed_polar(d, s, tol))
-
-
-def flow_polar(d: DeformedSpectrum, s, theta: float = 0.0, tol: float = 1e-10):
+def flow_polar(d: DeformedSpectrum, s, theta: float = 0.0):
     """Modulus and phase of the renormalized flow at a finite cutoff:
     the deformed product times the counterterm phase
-    exp(-i s (singular_part + theta) / 2).
+    exp(-i s (singular_part + theta) / 2).  Converges to
+    :func:`renormalized_polar` as the cutoff is removed.
     """
-    mod, phase = deformed_polar(d, s, tol)
+    mod, phase = deformed_polar(d, s)
     return mod, phase - 0.5 * s * (singular_part(d) + theta)
-
-
-def flow(d: DeformedSpectrum, s, theta: float = 0.0, tol: float = 1e-10):
-    """Renormalized flow value; converges to :func:`renormalized` as the
-    cutoff is removed."""
-    return _rect(*flow_polar(d, s, theta, tol))

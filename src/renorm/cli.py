@@ -10,10 +10,10 @@ from __future__ import annotations
 import cmath
 import contextlib
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import characteristic as ch
 from . import diagrams as dg
@@ -84,14 +84,6 @@ def _load(ctx: click.Context) -> RunConfig:
     return cfg
 
 
-def _pmap(fn, items, threads: int):
-    # output order follows the grid index regardless of completion order
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(v) for v in items]
-
-
 def _emit(cfg: RunConfig, name: str, header: list[str], rows) -> Path:
     out = Path(cfg.out)
     if cfg.fmt == "json":
@@ -144,13 +136,13 @@ def _singular_description(cfg: RunConfig) -> str:
               help="Table format (overrides config).")
 @click.option("--seed", type=int, default=None, help="Seed for stochastic steps.")
 @click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for grid evaluations.")
+              help="Accepted and ignored; grids are evaluated in one thread.")
 @click.pass_context
 def main(ctx, config, out, fmt, seed, threads):
     """Evaluate regularized Gaussian product functionals and their
     renormalized limits, and emit data tables."""
     ch.cache_clear()  # cached tail sums live for one subcommand
-    ctx.obj = {"config": config, "out": out, "fmt": fmt, "seed": seed, "threads": threads}
+    ctx.obj = {"config": config, "out": out, "fmt": fmt, "seed": seed}
 
 
 @main.command()
@@ -188,32 +180,28 @@ def phi(ctx):
     """Scan the characteristic functional over the s-grid: finite
     sections, the flow at each cutoff, and the renormalized limit."""
     cfg = _load(ctx)
-    threads = ctx.obj["threads"]
     spec, reg, theta = cfg.spectrum, cfg.regulator, cfg.theta
     kap = _renormalized_constant(cfg)
     s_values = cfg.s_grid.linear()
-    n_values = cfg.n_grid.geometric_ints()
-    lam_cuts = cfg.lambda_grid.geometric()
+    nodes = np.array(s_values)
+    # each variant over the whole s-grid in one pass: (variant, n,
+    # Lambda, modulus array, phase array)
+    scans = []
+    for n in cfg.n_grid.geometric_ints():
+        with _stage("finite", n=n):
+            scans.append(("finite", n, "", *ch.finite_polar(spec, nodes, n)))
+    for lam_cut in cfg.lambda_grid.geometric():
+        with _stage("flow", Lambda=lam_cut):
+            polar = ch.flow_polar(DeformedSpectrum(spec, reg, lam_cut), nodes, theta)
+        scans.append(("flow", "", lam_cut, *polar))
+    with _stage("renormalized"):
+        scans.append(("renormalized", "", "", *ch.renormalized_polar(spec, kap, nodes, theta)))
 
-    def rows_for_s(s: float):
-        out = []
-        for n in n_values:
-            with _stage("finite", s=s, n=n):
-                mod, phase = ch.finite_polar(spec, s, n)
-            val = cmath.rect(mod, phase)
-            out.append(("finite", n, "", theta, s, val.real, val.imag, mod, phase))
-        for lam_cut in lam_cuts:
-            with _stage("flow", s=s, Lambda=lam_cut):
-                mod, phase = ch.flow_polar(DeformedSpectrum(spec, reg, lam_cut), s, theta)
-            val = cmath.rect(mod, phase)
-            out.append(("flow", "", lam_cut, theta, s, val.real, val.imag, mod, phase))
-        with _stage("renormalized", s=s):
-            mod, phase = ch.renormalized_polar(spec, kap, s, theta)
-        val = cmath.rect(mod, phase)
-        out.append(("renormalized", "", "", theta, s, val.real, val.imag, mod, phase))
-        return out
-
-    rows = [row for chunk in _pmap(rows_for_s, s_values, threads) for row in chunk]
+    rows = []
+    for i, s in enumerate(s_values):
+        for variant, n, lam_cut, mod, phase in scans:
+            val = cmath.rect(mod[i], phase[i])
+            rows.append((variant, n, lam_cut, theta, s, val.real, val.imag, mod[i], phase[i]))
     header = ["variant", "n", "Lambda", "theta", "s", "re", "im", "modulus", "phase"]
     path = _emit(cfg, "phi_scan", header, rows)
     click.echo(f"wrote {path}")
@@ -226,7 +214,6 @@ def z(ctx):
     """Partition tables: decay of the finite sections with the certified
     bound, and the renormalized value over the theta-grid."""
     cfg = _load(ctx)
-    threads = ctx.obj["threads"]
     spec = cfg.spectrum
     kap = _renormalized_constant(cfg)
     n_values = cfg.n_grid.geometric_ints()
@@ -255,10 +242,10 @@ def z(ctx):
         with _stage("z_theta", theta=theta):
             pt.renormalized_window(spec, kap, cfg.lam, theta, cfg.quadrature)
     # every row first, so that a failure leaves no table behind
-    decay = _pmap(decay_row, n_values, threads)
-    profile = _pmap(theta_row, thetas, threads)
+    decay = [decay_row(n) for n in n_values]
+    profile = [theta_row(theta) for theta in thetas]
     mc_ns = [n for n in n_values if n <= 64] or [4]
-    mc_rows = _pmap(mc_row, mc_ns, threads)
+    mc_rows = [mc_row(n) for n in mc_ns]
     path1 = _emit(cfg, "z_decay", ["n", "z_n", "bound"], decay)
     path2 = _emit(cfg, "z_theta", ["theta", "z_renormalized"], profile)
     path3 = _emit(cfg, "z_mc", ["n", "estimate", "std_error"], mc_rows)
@@ -274,7 +261,6 @@ def flow(ctx):
     """Cutoff-removal tables: distance of the flow to the renormalized
     limit, for both functionals, over the cutoff grid."""
     cfg = _load(ctx)
-    threads = ctx.obj["threads"]
     spec, reg, theta, s = cfg.spectrum, cfg.regulator, cfg.theta, cfg.s
     kap = _renormalized_constant(cfg)
     lam, q = cfg.lam, cfg.quadrature
@@ -290,13 +276,13 @@ def flow(ctx):
         with _stage("z_regularized", Lambda=lam_cut):
             pt.regularized_window(d, lam, q)
     with _stage("phi_renormalized", s=s):
-        phi_ref = ch.renormalized(spec, kap, s, theta)
+        phi_ref = cmath.rect(*ch.renormalized_polar(spec, kap, s, theta))
     with _stage("z_renormalized"):
         z_ref = pt.renormalized(spec, kap, lam, theta, q)
 
     def phi_row(lam_cut: float):
         with _stage("flow_phi", Lambda=lam_cut):
-            val = ch.flow(DeformedSpectrum(spec, reg, lam_cut), s, theta)
+            val = cmath.rect(*ch.flow_polar(DeformedSpectrum(spec, reg, lam_cut), s, theta))
         return (lam_cut, s, theta, val.real, val.imag, abs(val - phi_ref))
 
     def z_row(lam_cut: float):
@@ -308,8 +294,8 @@ def flow(ctx):
         return (lam_cut, lam, theta, val, z_ref, abs(val - z_ref), raw)
 
     # every row first, so that a failure leaves no table behind
-    phi_rows = _pmap(phi_row, lam_cuts, threads)
-    z_rows = _pmap(z_row, lam_cuts, threads)
+    phi_rows = [phi_row(lam_cut) for lam_cut in lam_cuts]
+    z_rows = [z_row(lam_cut) for lam_cut in lam_cuts]
     path1 = _emit(
         cfg, "flow_phi", ["Lambda", "s", "theta", "re", "im", "distance_to_limit"], phi_rows
     )

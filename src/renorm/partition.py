@@ -119,6 +119,12 @@ def _transform(phi, lam: float, q: QuadratureConfig, window) -> complex:
     return complex(val)
 
 
+def _rect(mod, phase):
+    """The complex values with these moduli and phases, at an array of
+    nodes."""
+    return mod * np.cos(phase) + 1j * (mod * np.sin(phase))
+
+
 def _require_real(val: complex, q: QuadratureConfig, what: str) -> float:
     # the transformed value is real by symmetry; a large imaginary
     # residue means the quadrature went wrong
@@ -139,7 +145,7 @@ def finite(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None
         raise ValueError("need at least one factor")
     q = q or QuadratureConfig()
     window = finite_window(spec, lam, n, q)
-    val = _transform(lambda s: characteristic.finite(spec, s, n), lam, q, window)
+    val = _transform(lambda s: _rect(*characteristic.finite_polar(spec, s, n)), lam, q, window)
     return _require_real(val, q, "finite partition value")
 
 
@@ -223,12 +229,11 @@ def renormalized(
     integrand.
     """
     q = q or QuadratureConfig()
-    inner = min(1e-11, q.abs_tol * 1e-2)
     w, max_limit = renormalized_window(spec, const_part, lam, theta, q)
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam)
 
     def integrand(s):
-        mod, phase = characteristic.renormalized_polar(spec, const_part, s, theta, inner)
+        mod, phase = characteristic.renormalized_polar(spec, const_part, s, theta)
         return norm * np.exp(-s * s / (4.0 * lam)) * mod * np.cos(phase)
 
     val, _ = quad_checked(
@@ -274,9 +279,8 @@ def flow(
     as the cutoff is removed.
     """
     q = q or QuadratureConfig()
-    inner = min(1e-11, q.abs_tol * 1e-2)
     window = flow_window(d, lam, theta, q)
-    val = _transform(lambda s: characteristic.flow(d, s, theta, inner), lam, q, window)
+    val = _transform(lambda s: _rect(*characteristic.flow_polar(d, s, theta)), lam, q, window)
     return _require_real(val, q, "flow partition value")
 
 
@@ -301,9 +305,8 @@ def regularized(
     reciprocal sum diverges; emitted for comparison against the flow.
     """
     q = q or QuadratureConfig()
-    inner = min(1e-11, q.abs_tol * 1e-2)
     window = regularized_window(d, lam, q)
-    val = _transform(lambda s: characteristic.deformed(d, s, inner), lam, q, window)
+    val = _transform(lambda s: _rect(*characteristic.deformed_polar(d, s)), lam, q, window)
     return _require_real(val, q, "regularized partition value")
 
 

@@ -176,7 +176,7 @@ class Spectrum:
     ) -> np.ndarray:
         """Row sums of f(s, beta_j) over the j <= upper with beta_j <=
         thresh, at every node of s: an array of shape (rows,) +
-        np.shape(s).
+        np.shape(s), a float s being a batch of one node.
 
         ``f`` maps a column of nodes and a block of elements to an array
         of shape (rows, nodes, len(block)), one row per summand, so
@@ -187,9 +187,11 @@ class Spectrum:
         1/2), capped at ``upper``, are summed directly, block by block,
         and masked by ``thresh``; past J the caller caps ``upper`` at
         the threshold.  The nodes are summed in runs of ascending |s|,
-        each with radius = its largest |s| (see :meth:`_runs`).  Past J, ``series(s, b, K)`` gives the orders m,
-        a tuple of rows of K numbers, and the weights w, an array of
-        shape (rows, nodes, K) (one node for a float s), with row i of
+        each with radius = its largest |s| (see :meth:`_runs`).  Past J,
+        ``series(s, b, K)`` gives the orders m, a tuple of rows of K
+        numbers, and the weights w, an array of
+        shape (rows, nodes, K) (one node, broadcast, for a summand free
+        of s), with row i of
         f(s, beta) = sum_k w_ik (b/beta)**m_ik, b = beta_{J+1}, truncated
         after K terms of an expansion in radius/beta; each distinct
         order is summed once, in closed form and free of s, for every
@@ -197,9 +199,6 @@ class Spectrum:
         (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with n the tail length
         (2 (J+1) for an infinite tail, which bounds sum_{j>J}
         (b/beta_j)**m once m p >= 2), so each sum is exact to rounding.
-        A float s takes ``series`` a float and BLAS dot products, the
-        arithmetic the scalar tables are written with; an array s, the
-        batched arithmetic, whatever its length.
 
         With ``exp_cutoff`` L the sums run over the exponentially
         deformed elements beta_j e^{x_j}, x_j = sqrt(beta_j / L), to
@@ -208,14 +207,14 @@ class Spectrum:
         radius / b is at most e^{-2 x_{J+1}} / 2, which sets K, and the
         tail sums are :func:`_exp_power_tail`'s.
 
-        Raises NoConvergence, before summing, if J exceeds the term
-        budget, or if the deformed tail sums overflow, and DivergentSum
-        if an infinite tail diverges.
+        Raises ValueError if a node is not finite, NoConvergence, before
+        summing, if J exceeds the term budget, or if the deformed tail
+        sums overflow, and DivergentSum if an infinite tail diverges.
         """
         shape = np.shape(s)
         nodes = np.ravel(np.asarray(s, dtype=float))
-        if not shape:
-            return self._run(f, series, nodes, upper, thresh, exp_cutoff, scalar=True)[:, 0]
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError(f"argument s must be finite, got {nodes[~np.isfinite(nodes)][0]}")
         runs = self._runs(np.abs(nodes), upper, exp_cutoff)
         if len(runs) == 1:
             total = self._run(f, series, nodes, upper, thresh, exp_cutoff)
@@ -270,7 +269,7 @@ class Spectrum:
             hi = first
         return runs
 
-    def _run(self, f, series, nodes, upper, thresh, exp_cutoff, scalar=False) -> np.ndarray:
+    def _run(self, f, series, nodes, upper, thresh, exp_cutoff) -> np.ndarray:
         """:meth:`_spectral_sum` at the 1-D ``nodes``, all with the plan
         of the largest |s|; shape (rows, nodes)."""
         radius = float(np.max(np.abs(nodes), initial=0.0))
@@ -303,15 +302,13 @@ class Spectrum:
                 b *= math.exp(x)
 
             def tail(part):
-                orders, weights = series(part[0] if scalar else part, b, terms)
+                orders, weights = series(part, b, terms)
                 sums = _tail_sums(orders, p, a, upper, x)
                 if not np.all(np.isfinite(sums)):
                     at = "" if exp_cutoff is None else f", cutoff L = {exp_cutoff:g}"
                     raise NoConvergence(
                         f"tail sums overflow the float range at tail exponent p = {p:g}{at}"
                     )
-                if scalar:
-                    return np.array([[np.dot(w[0], t)] for w, t in zip(weights, sums)])
                 return np.matmul(weights, sums[:, :, None])[..., 0]
 
             total = total + _by_nodes(tail, nodes, terms)

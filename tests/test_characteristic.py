@@ -30,15 +30,14 @@ PHASE_HARMONIC_S1 = -0.30164032046753320  # -gamma + sum (1/j - atan(1/j))
 
 def test_single_factor_closed_form():
     for s in (0.3, -1.7, 4.0):
-        got = ch.finite(rn.PowerLaw(1.0, 1.0), s, 1)
+        got = cmath.rect(*ch.finite_polar(rn.PowerLaw(1.0, 1.0), s, 1))
         ref = cmath.exp(-0.5 * cmath.log(1.0 - 1j * s))
         assert abs(got - ref) < 1e-14
 
 
 def test_value_at_zero_is_one():
-    assert ch.finite(HARMONIC, 0.0, 17) == 1.0 + 0.0j
-    assert ch.modulus_limit(HARMONIC, 0.0) == 1.0
-    assert ch.renormalized_phase(HARMONIC, GAMMA, 0.0) == 0.0
+    assert ch.finite_polar(HARMONIC, 0.0, 17) == (1.0, 0.0)
+    assert ch.renormalized_polar(HARMONIC, GAMMA, 0.0) == (1.0, 0.0)
 
 
 def test_two_factor_polar_values():
@@ -60,17 +59,17 @@ def test_sections_monotone_decreasing_random():
 def test_modulus_lower_bound():
     b2 = float(HARMONIC.inverse_power_sum(2, 1e-12))
     for s in (0.25, 1.0, 4.0):
-        f = ch.modulus_limit(HARMONIC, s, 1e-10)
+        f, _ = ch.renormalized_polar(HARMONIC, 0.0, s)
         assert math.exp(-s * s * b2 / 4.0) <= f < 1.0
 
 
 def test_modulus_limit_golden_and_closed_form():
-    got = ch.modulus_limit(HARMONIC, 1.0, 1e-10)
+    got, _ = ch.renormalized_polar(HARMONIC, 0.0, 1.0)
     assert abs(got - F_LIMIT_HARMONIC_S1) <= 1e-10
     # independent route: product over (1 + s^2/j^2) telescopes to sinh
     ref = float((sinh(pi) / pi) ** mpf("-0.25"))
     assert abs(got - ref) <= 1e-10
-    got4 = ch.modulus_limit(HARMONIC, 4.0, 1e-11)
+    got4, _ = ch.renormalized_polar(HARMONIC, 0.0, 4.0)
     ref4 = float((sinh(4 * pi) / (4 * pi)) ** mpf("-0.25"))
     assert abs(got4 - ref4) <= 1e-11
 
@@ -78,7 +77,7 @@ def test_modulus_limit_golden_and_closed_form():
 def test_modulus_limit_with_head_matches_brute_force():
     spec = rn.ExplicitWithTail([0.3, 9.0], 2.0, 1.5)
     s = 2.4
-    got = ch.modulus_limit(spec, s, 1e-11)
+    got, _ = ch.renormalized_polar(spec, 0.0, s)
     vals = spec.values(400_000)
     ref = math.exp(-0.25 * float(np.sum(np.log1p((s / vals) ** 2))))
     # the brute-force product still misses its own tail, of size
@@ -89,7 +88,9 @@ def test_modulus_limit_with_head_matches_brute_force():
 
 def test_modulus_limit_even():
     for s in (0.7, 2.3):
-        assert ch.modulus_limit(HARMONIC, s) == ch.modulus_limit(HARMONIC, -s)
+        up, _ = ch.renormalized_polar(HARMONIC, 0.0, s)
+        dn, _ = ch.renormalized_polar(HARMONIC, 0.0, -s)
+        assert up == dn
 
 
 def test_rapid_decay_with_many_factors():
@@ -195,8 +196,9 @@ def test_renormalized_pair_matches_gamma_closed_forms(p, c, head, s):
 
     total -= sum(factor(y / mpf(j) ** int(p)) for j in range(1, len(head) + 1))
     total += sum(factor(mpf(s) / h) for h in head)
-    assert abs(ch.modulus_limit(spec, s) - float(exp(-total.real / 2))) <= 1e-12
-    assert abs(ch.renormalized_phase(spec, 0.0, s) - float(total.imag)) <= 1e-12
+    mod, phase = ch.renormalized_polar(spec, 0.0, s)
+    assert abs(mod - float(exp(-total.real / 2))) <= 1e-12
+    assert abs(-2.0 * phase - float(total.imag)) <= 1e-12
 
 
 def _spectrum_with_head(p, c, head):
@@ -217,7 +219,7 @@ def _batch_values(spec, s):
         "finite": ch.finite_polar(spec, s, 1000),
         "sharp": ch.deformed_polar(sharp, s),
         "exponential": ch.deformed_polar(expo, s),
-        "renormalized": (ch.modulus_limit(spec, s), ch.renormalized_phase(spec, 0.3, s)),
+        "renormalized": ch.renormalized_polar(spec, 0.3, s),
     }
 
 
@@ -301,7 +303,7 @@ def test_quadrature_oracle_matches():
         spec = rn.PowerLaw(rng.uniform(0.5, 3.0), rng.uniform(0.6, 2.0))
         s = rng.uniform(-5.0, 5.0)
         n = int(rng.integers(1, 9))
-        a = ch.finite(spec, s, n)
+        a = cmath.rect(*ch.finite_polar(spec, s, n))
         b = ch.finite_by_quadrature(spec, s, n, q)
         assert abs(a - b) <= 1e-8
 
@@ -318,7 +320,7 @@ def test_quadrature_oracle_rejects_large_n():
 
 
 def test_renormalized_phase_golden():
-    got = ch.renormalized_phase(HARMONIC, GAMMA, 1.0, 1e-11)
+    got = -2.0 * ch.renormalized_polar(HARMONIC, GAMMA, 1.0)[1]
     assert abs(got - PHASE_HARMONIC_S1) <= 1e-10
     # independent route via a high-precision term sum
     ref = float(-mpf(GAMMA) + nsum(lambda j: 1 / j - atan(1 / j), [1, inf]))
@@ -327,17 +329,17 @@ def test_renormalized_phase_golden():
 
 def test_renormalized_phase_odd():
     for s in (0.4, 1.0, 3.3):
-        a = ch.renormalized_phase(HARMONIC, GAMMA, s, 1e-11)
-        b = ch.renormalized_phase(HARMONIC, GAMMA, -s, 1e-11)
+        a = -2.0 * ch.renormalized_polar(HARMONIC, GAMMA, s)[1]
+        b = -2.0 * ch.renormalized_polar(HARMONIC, GAMMA, -s)[1]
         assert abs(a + b) < 1e-12
 
 
 def test_renormalized_at_zero_and_conjugation():
     for theta in (0.0, 2.0):
-        assert ch.renormalized(HARMONIC, GAMMA, 0.0, theta) == 1.0 + 0.0j
+        assert cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, 0.0, theta)) == 1.0 + 0.0j
     for s in (0.5, 1.9):
-        up = ch.renormalized(HARMONIC, GAMMA, s, 0.7)
-        dn = ch.renormalized(HARMONIC, GAMMA, -s, 0.7)
+        up = cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, s, 0.7))
+        dn = cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, -s, 0.7))
         assert abs(up - dn.conjugate()) < 1e-12
 
 
@@ -346,14 +348,14 @@ def test_renormalization_preserves_existing_limit():
     # reciprocal sum as constant part and no extra phase returns it
     b1 = SQUARES.inverse_power_sum(1, 1e-13)
     for s in (1.0, -2.2):
-        lim = ch.finite(SQUARES, s, 10**6)
-        got = ch.renormalized(SQUARES, b1, s, 0.0, 1e-12)
+        lim = cmath.rect(*ch.finite_polar(SQUARES, s, 10**6))
+        got = cmath.rect(*ch.renormalized_polar(SQUARES, b1, s))
         assert abs(got - lim) < 1e-6
 
 
 def test_finite_rejects_bad_n():
     with pytest.raises(ValueError):
-        ch.finite(HARMONIC, 1.0, 0)
+        ch.finite_polar(HARMONIC, 1.0, 0)
 
 
 def test_sharp_flow_is_rephased_section():
@@ -365,8 +367,9 @@ def test_sharp_flow_is_rephased_section():
     assert m == 777
     r = rn.singular_part(d)
     for s, theta in ((0.8, 0.0), (-2.1, 1.4)):
-        expect = ch.finite(HARMONIC, s, m) * cmath.exp(-0.5j * s * (r + theta))
-        assert abs(ch.flow(d, s, theta) - expect) < 1e-14
+        section = cmath.rect(*ch.finite_polar(HARMONIC, s, m))
+        expect = section * cmath.exp(-0.5j * s * (r + theta))
+        assert abs(cmath.rect(*ch.flow_polar(d, s, theta)) - expect) < 1e-14
 
 
 def test_sharp_flow_with_masked_head():
@@ -380,7 +383,7 @@ def test_sharp_flow_with_masked_head():
     phase = sum(math.atan(s / b) for b in survivors)
     r = rn.singular_part(d)
     manual = math.exp(-0.25 * log_mod) * cmath.exp(0.5j * (phase - s * (r + theta)))
-    assert abs(ch.flow(d, s, theta) - manual) < 1e-13
+    assert abs(cmath.rect(*ch.flow_polar(d, s, theta)) - manual) < 1e-13
 
 
 def test_renormalized_limit_term_budget():
@@ -388,24 +391,36 @@ def test_renormalized_limit_term_budget():
     # applies; the shared budget refuses before summing any of them
     t0 = time.perf_counter()
     with pytest.raises(rn.NoConvergence):
-        ch.renormalized_phase(HARMONIC, 0.0, 1e9)
+        ch.renormalized_polar(HARMONIC, 0.0, 1e9)
     with pytest.raises(rn.NoConvergence):
-        ch.modulus_limit(HARMONIC, 1e9)
+        ch.renormalized_polar(HARMONIC, 0.0, np.array([0.5, 1e9]))
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_renormalized_limit_rejects_nonfinite_argument():
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError):
-            ch.modulus_limit(HARMONIC, bad)
-        with pytest.raises(ValueError):
-            ch.renormalized_phase(HARMONIC, GAMMA, bad)
+    # every characteristic quantity, at a lone node and at one bad node
+    # of an array
+    sharp = rn.DeformedSpectrum(HARMONIC, SHARP, 1e3)
+    expo = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), 1e3)
+    quantities = [
+        lambda s: ch.finite_polar(HARMONIC, s, 10),
+        lambda s: ch.renormalized_polar(HARMONIC, GAMMA, s, 0.3),
+        lambda s: ch.deformed_polar(sharp, s),
+        lambda s: ch.deformed_polar(expo, s),
+        lambda s: ch.flow_polar(sharp, s, 0.3),
+        lambda s: ch.flow_polar(expo, s, 0.3),
+    ]
+    for quantity in quantities:
+        for bad in (math.nan, math.inf, -math.inf):
+            for s in (bad, np.array([0.0, 1.5, bad, -2.0])):
+                with pytest.raises(ValueError, match="must be finite"):
+                    quantity(s)
 
 
 def test_flow_at_zero_argument():
     for lam_cut in (10.0, 1e4):
         d = rn.DeformedSpectrum(HARMONIC, SHARP, lam_cut)
-        assert ch.flow(d, 0.0, 0.9) == 1.0 + 0.0j
+        assert cmath.rect(*ch.flow_polar(d, 0.0, 0.9)) == 1.0 + 0.0j
 
 
 def test_flow_modulus_ignores_counterterm():
@@ -414,17 +429,17 @@ def test_flow_modulus_ignores_counterterm():
         mod_flow, _ = ch.flow_polar(d, s, 1.3)
         mod_raw, _ = ch.deformed_polar(d, s)
         assert mod_flow == mod_raw
-        assert abs(abs(ch.flow(d, s, 1.3)) - mod_raw) < 1e-14
+        assert abs(abs(cmath.rect(*ch.flow_polar(d, s, 1.3))) - mod_raw) < 1e-14
 
 
 def test_flow_converges_to_renormalized_limit():
     kap = rn.constant_part(HARMONIC, SHARP, tol=1e-9)
     for s in (0.5, 1.0, 2.0):
-        ref = ch.renormalized(HARMONIC, kap, s, 0.0, 1e-12)
+        ref = cmath.rect(*ch.renormalized_polar(HARMONIC, kap, s))
         dists = []
         for lam_cut in (1e3, 1e4, 1e5):
             d = rn.DeformedSpectrum(HARMONIC, SHARP, lam_cut)
-            dists.append(abs(ch.flow(d, s, 0.0, 1e-12) - ref))
+            dists.append(abs(cmath.rect(*ch.flow_polar(d, s)) - ref))
         assert all(b < a for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-4
 
@@ -442,7 +457,7 @@ def test_flow_distances_match_gamma_closed_forms():
     s = 1.0
     cutoffs = (10**3, 10**4, 10**5)
     q = rn.QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_nodes=1 << 17)
-    phi_ref = ch.renormalized(HARMONIC, GAMMA, s, 0.0, 1e-12)
+    phi_ref = cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, s))
     z_ref = pt.renormalized(HARMONIC, GAMMA, 1.0, 0.0, q)
     with mp.workdps(30):
 
@@ -469,7 +484,7 @@ def test_flow_distances_match_gamma_closed_forms():
         z_ratio = exact_z[2] / exact_z[0]
     for lam_cut, e_phi, e_z in zip(cutoffs, exact_phi, exact_z):
         d = rn.DeformedSpectrum(HARMONIC, SHARP, float(lam_cut))
-        got_phi = abs(ch.flow(d, s, 0.0, 1e-12) - phi_ref)
+        got_phi = abs(cmath.rect(*ch.flow_polar(d, s)) - phi_ref)
         got_z = abs(pt.flow(d, 1.0, 0.0, q) - z_ref)
         assert abs(got_phi / float(e_phi) - 1.0) <= 1e-6
         assert abs(got_z / float(e_z) - 1.0) <= 1e-6
@@ -480,17 +495,17 @@ def test_flow_distances_match_gamma_closed_forms():
 
 def test_flow_converges_with_exponential_profile():
     kap = rn.constant_part(HARMONIC, rn.Exponential(), tol=1e-5)
-    ref = ch.renormalized(HARMONIC, kap, 1.0, 0.0, 1e-12)
+    ref = cmath.rect(*ch.renormalized_polar(HARMONIC, kap, 1.0))
     dists = []
     for lam_cut in (1e2, 1e3, 1e4):
         d = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), lam_cut)
-        dists.append(abs(ch.flow(d, 1.0, 0.0, 1e-10) - ref))
+        dists.append(abs(cmath.rect(*ch.flow_polar(d, 1.0)) - ref))
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
 def test_exponential_deformed_value_example():
     d = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), 100.0)
-    got = ch.deformed(d, 1.0, 1e-11)
+    got = cmath.rect(*ch.deformed_polar(d, 1.0))
     # brute-force partial product over the deformed elements
     js = np.arange(1, 2_000_001, dtype=float)
     bl = js * np.exp(np.sqrt(js / 100.0))

@@ -143,10 +143,16 @@ def test_oscillation_budget_exit_3(tmp_path):
          "z_regularized at Lambda = 100000"),
         # z_decay succeeds, then the theta row oscillates too fast
         ("z", {"theta_grid": {"min": 0.0, "max": 1e4, "count": 2}}, "z_theta at theta = 10000"),
+        # the finite sections succeed, then the flow over the whole
+        # s-grid at the first cutoff needs too many direct terms
+        ("phi", {"spectrum": {"family": "power_law", "c": 1e-9, "p": 1.0},
+                 "lambda_grid": {"min": 1e3, "max": 1e5, "count": 3}},
+         "flow at Lambda = 1000"),
     ],
 )
 def test_numeric_failure_leaves_no_table(tmp_path, monkeypatch, command, overrides, stage):
-    # every grid point's node budget is checked before the first transform
+    # every grid point's node budget is checked before the first
+    # transform; phi integrates nothing and stops on the term budget
     from renorm import partition as pt
 
     integrals = []
@@ -157,7 +163,7 @@ def test_numeric_failure_leaves_no_table(tmp_path, monkeypatch, command, overrid
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert f"Error: {command}: {stage}: " in result.output
-    assert "nodes across the window" in result.output
+    assert ("|s| = " if command == "phi" else "nodes across the window") in result.output
     assert list((tmp_path / "out").glob("*")) == []
     assert integrals == []
 

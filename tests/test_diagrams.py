@@ -1,5 +1,6 @@
 """Exact pairing combinatorics: moments, the shift identity, series."""
 
+import cmath
 import json
 import math
 from fractions import Fraction as F
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import renorm as rn
+from renorm import characteristic as ch
 from renorm import diagrams as dg
 
 
@@ -245,3 +248,44 @@ def test_order_limits():
         dg.renorm_identity_holds(21)
     with pytest.raises(ValueError):
         dg.partial_sum_scan(0.5, 301)
+
+
+def _series_value(coeffs, s):
+    """sum_k c_k (i s)**k, by Horner's rule."""
+    total = 0j
+    for c in reversed(coeffs):
+        total = total * 1j * s + c
+    return total
+
+
+def _loop_values(spec, count):
+    return [spec.inverse_power_sum(m) if spec.converges(m) else dg.INFINITE
+            for m in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+def test_renormalized_series_sums_to_the_analytic_limit(theta):
+    # the exact track's renormalized series, summed to order 30, is the
+    # analytic track's renormalized limit inside the disc |s| < mu = 1;
+    # b1 diverges for the harmonic spectrum, so only the shift carries it
+    spec = rn.PowerLaw(1.0, 1.0)
+    kap = rn.constant_part(spec, rn.SharpCutoff(1.0))
+    coeffs = dg.series_coefficients(
+        "phi_renorm", 30, _loop_values(spec, 30), shift_value=(kap - theta) / 2.0
+    )
+    for s, bound in ((0.1, 1e-14), (0.3, 1e-14), (-0.3, 1e-14), (0.5, 1e-9)):
+        want = cmath.rect(*ch.renormalized_polar(spec, kap, s, theta))
+        assert abs(_series_value(coeffs, s) - want) <= bound
+
+
+def test_plain_series_sums_to_the_analytic_product():
+    # with summable reciprocals the plain series is the whole product,
+    # which is the renormalized limit at constant part b1 and theta = 0
+    spec = rn.ExplicitWithTail([0.7, 2.5], 1.0, 2.0)
+    mu = spec.min_value()
+    loop_values = _loop_values(spec, 30)
+    coeffs = dg.series_coefficients("phi", 30, loop_values)
+    for x, bound in ((0.1, 1e-14), (0.3, 1e-14), (-0.3, 1e-14), (0.5, 1e-9)):
+        s = x * mu
+        want = cmath.rect(*ch.renormalized_polar(spec, loop_values[0], s))
+        assert abs(_series_value(coeffs, s) - want) <= bound

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -123,9 +124,12 @@ def test_mc_validation():
 
 def test_renormalized_matches_complex_transform_route():
     val = pt.renormalized(HARMONIC, GAMMA, 1.0, 0.0, TIGHT)
-    via_transform = pt.transform(
-        lambda s: ch.renormalized(HARMONIC, GAMMA, s, 0.0, 1e-13), 1.0, TIGHT, freq_hint=0.3
-    )
+
+    def phi(s):
+        mod, phase = ch.renormalized_polar(HARMONIC, GAMMA, s)
+        return mod * np.cos(phase) + 1j * (mod * np.sin(phase))
+
+    via_transform = pt.transform(phi, 1.0, TIGHT, freq_hint=0.3)
     assert abs(via_transform.imag) < 1e-10
     assert abs(val - via_transform.real) < 1e-8
     assert abs(val - Z_RENORM_HARMONIC) < 1e-9
