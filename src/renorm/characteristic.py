@@ -4,13 +4,14 @@ The n-factor product
 
     prod_{j<=n} (1 - i s / beta_j)**(-1/2)
 
-is evaluated in polar form: log-modulus -(1/4) sum log1p((s/beta_j)**2)
-and phase (1/2) sum arctan(s/beta_j), so no branch choices ever arise
-and a million near-unit factors lose no precision.  On top of the
-finite sections this module provides the renormalized limit (finite for
-every spectrum whose squared reciprocals are summable) and the
-regularized flow at a finite cutoff, whose counterterm phase removes
-the divergent part of the reciprocal sum.
+is evaluated as its log, -(1/2) sum_j log(1 + w_j) with w_j = -i s /
+beta_j, at a real s or on the strip Im s > -min_j beta_j, where every
+principal log is analytic: the phase Im needs no unwrapping, the
+modulus is exp(Re), and a million near-unit factors lose no precision.
+On top of the finite sections this module provides the renormalized
+limit (finite for every spectrum whose squared reciprocals are summable)
+and the regularized flow at a finite cutoff, whose counterterm phase
+removes the divergent part of the reciprocal sum.
 """
 
 from __future__ import annotations
@@ -25,27 +26,26 @@ from .regulator import DeformedSpectrum, singular_part
 from .spectrum import Spectrum, _tail_sums
 
 __all__ = [
-    "finite_polar",
+    "finite_log",
     "finite_by_quadrature",
-    "renormalized_polar",
-    "deformed_polar",
-    "flow_polar",
+    "renormalized_log",
+    "deformed_log",
+    "flow_log",
 ]
 
 
-def finite_polar(spec: Spectrum, s, n: int):
-    """Modulus and (continuous, unwrapped) phase of the n-factor
-    product, as numpy scalars for a float s and as arrays for an array
-    s."""
+def finite_log(spec: Spectrum, s, n: int):
+    """Log of the n-factor product: a numpy complex for a scalar s and
+    an array for an array s."""
     if n < 1:
         raise ValueError("need at least one factor")
-    return _polar(spec._spectral_sum(*_POLAR_PAIR, s, upper=n))
+    return _log_product(spec._spectral_sum(*_PRODUCT, s, upper=n))
 
 
 def finite_by_quadrature(
     spec: Spectrum, s: float, n: int, q: QuadratureConfig | None = None
 ) -> complex:
-    """Independent oracle for :func:`finite_polar` on small instances.
+    """Independent oracle for :func:`finite_log` on small instances.
 
     Each factor is the 1-D integral of exp(-u**2 + i r u**2) / sqrt(pi)
     with r = s / beta_j, truncated at |u| = 8 where the envelope is
@@ -80,53 +80,61 @@ def finite_by_quadrature(
     return result
 
 
-def _log1p_and(second, e: int):
-    """The summand rows log1p(r**2) and second(r), r = s/beta, of a
-    spectral sum, and their tail expansions: the Taylor series
-    sum_{k>=0} (-1)**k w r**m / m with (w, m) = (2, 2k + 2) for the
-    first row and (1, 2k + e) for the second."""
+def _log_terms(first: int):
+    """The summand log(1 + w), w = -i s/beta, less w for first = 2, as
+    the rows 2 Re and Im of a spectral sum, and its tail series
+    -sum_{m>=first} (i s/b)**m (b/beta)**m / m.  On the strip Im s >
+    -beta, Re(1 + w) > 0: the real part is log1p(|1 + w|**2 - 1) / 2,
+    the imaginary part -arctan(Re s / (beta + Im s)), whose Im s terms
+    a real s leaves out.
+    """
 
     def rows(s, beta):
-        r = s / beta
-        out = np.empty((2,) + r.shape)
-        np.log1p(r * r, out=out[0])
-        out[1] = second(r)
+        x = -s.real / beta  # Im w
+        out = np.empty((2,) + x.shape)
+        if np.iscomplexobj(s):
+            y = s.imag / beta  # Re w
+            np.log1p(x * x + y * (2.0 + y), out=out[0])
+            np.arctan(x / (1.0 + y), out=out[1])
+            if first == 2:
+                out[0] -= 2.0 * y
+        else:
+            np.log1p(x * x, out=out[0])
+            np.arctan(x, out=out[1])
+        if first == 2:
+            out[1] -= x
         return out
 
     def series(s, b, terms):
-        orders, m, signed = _taylor_terms(e, terms)
-        # r**(2k + 2) and r**(2k + e) from running products of r**2
-        r = s[:, None] / b
-        ladder = np.repeat(r * r, terms + 1, axis=1)
-        ladder[:, 0] = 1.0
-        np.cumprod(ladder, axis=1, out=ladder)
-        powers = np.array((ladder[:, 1:], r**e * ladder[:, :-1]))
-        return orders, signed[:, None] * powers / m[:, None]
+        orders, scale = _series_terms(first, 2 * terms)
+        # (i s/b)**m from running products
+        ladder = np.repeat((1j * s)[:, None] / b, first + 2 * terms - 1, axis=1)
+        powers = np.cumprod(ladder, axis=1)[:, first - 1 :]
+        return orders, np.array((powers.real, powers.imag)) * scale[:, None, :]
 
     return rows, series
 
 
 @functools.lru_cache(maxsize=64)
-def _taylor_terms(e: int, terms: int):
-    """The orders of :func:`_log1p_and`'s series, as a tuple of rows and
-    as an array, and its signed weights w (-1)**k."""
-    k = np.arange(terms)
-    m = np.array((2 * k + 2, 2 * k + e))
-    signed = np.array([[2.0], [1.0]]) * (-1.0) ** k
-    m.flags.writeable = signed.flags.writeable = False
-    return tuple(map(tuple, m.tolist())), m, signed
+def _series_terms(first: int, count: int):
+    """The orders first, ..., first + count - 1 of :func:`_log_terms`'
+    series, as one tuple per row, and the weights -2/m and -1/m of
+    their rows 2 Re and Im."""
+    m = np.arange(first, first + count)
+    scale = np.array([[-2.0], [-1.0]]) / m
+    scale.flags.writeable = False
+    return (tuple(m.tolist()),) * 2, scale
 
 
-# log1p((s/beta)**2) with arctan(s/beta), for the product, and with
-# s/beta - arctan(s/beta), for its renormalized limit
-_POLAR_PAIR = _log1p_and(np.arctan, 1)
-_RENORMALIZED_PAIR = _log1p_and(lambda r: r - np.arctan(r), 3)
+# log(1 + w) for the product, log(1 + w) - w for its renormalized limit
+_PRODUCT = _log_terms(1)
+_RENORMALIZED = _log_terms(2)
 
 
-def _polar(sums):
-    """Modulus and phase of a product from its log1p and arctan sums."""
-    log_mod, phase = sums
-    return np.exp(-0.25 * log_mod), 0.5 * phase
+def _log_product(sums):
+    """-(1/2) sum_j log(1 + w_j) from the rows of :func:`_log_terms`."""
+    twice_re, im = sums
+    return -0.25 * twice_re - 0.5j * im
 
 
 def cache_clear() -> None:
@@ -134,45 +142,40 @@ def cache_clear() -> None:
     _tail_sums.cache_clear()
 
 
-def renormalized_polar(spec: Spectrum, const_part: float, s, theta: float = 0.0):
-    """Modulus and phase of the renormalized limit functional
-    f(s) exp(-i (s theta + phase(s)) / 2), from one pass over the
-    spectrum; numpy scalars for a float s, arrays for an array s.
+def renormalized_log(spec: Spectrum, const_part: float, s, theta: float = 0.0):
+    """Log of the renormalized limit functional, from one pass over the
+    spectrum; a numpy complex for a scalar s, an array for an array s:
 
-    The limit modulus f needs the squared reciprocals of the spectrum to
-    be summable; its log-domain sum of log1p((s/beta_j)**2) is exact to
-    rounding: a direct head and a power series whose tail sums are
-    closed forms.  The odd phase function
+        -(1/2) sum_j [log(1 + w_j) - w_j] - i s (theta - const_part) / 2.
 
-        phase(s) = -s * const_part + sum_j (s/beta_j - arctan(s/beta_j))
-
-    sums the exact t-integrals of the corresponding rational integrands,
-    exact to rounding with its tail in closed form; it vanishes at s = 0.
+    The sum converges once the squared reciprocals of the spectrum are
+    summable and is exact to rounding: a direct head and a power series
+    from order 2 whose tail sums are closed forms.  At real s the phase
+    is -(s theta + phase(s)) / 2, with the odd phase function
+    phase(s) = -s const_part + sum_j (s/beta_j - arctan(s/beta_j)).
     """
-    log_mod, odd = spec._spectral_sum(*_RENORMALIZED_PAIR, s)
-    return np.exp(-0.25 * log_mod), -0.5 * (s * theta + (-s * const_part + odd))
+    sums = spec._spectral_sum(*_RENORMALIZED, s)
+    return _log_product(sums) - 0.5j * (s * theta - s * const_part)
 
 
-def deformed_polar(d: DeformedSpectrum, s):
-    """Modulus and phase of the full product over a deformed spectrum,
-    as numpy scalars for a float s and as arrays for an array s.
+def deformed_log(d: DeformedSpectrum, s):
+    """Log of the full product over a deformed spectrum: a numpy complex
+    for a scalar s and an array for an array s.
 
     Exact to rounding, at a cost that does not grow with large cutoffs.
     Sharp cutoff: the surviving factors form a finite product (dropped
     factors contribute 1) whose surviving power-law tail is summed in
     closed form.  Exponential profile: a direct head of factors, then
-    the log1p and arctan Taylor series of the rest, whose power sums
-    over the deformed tail are the Mellin series of
-    ``spectrum._exp_power_tail``.
+    the Taylor series of the rest, whose power sums over the deformed
+    tail are the Mellin series of ``spectrum._exp_power_tail``.
     """
-    return _polar(d._deformed_sum(*_POLAR_PAIR, s))
+    return _log_product(d._deformed_sum(*_PRODUCT, s))
 
 
-def flow_polar(d: DeformedSpectrum, s, theta: float = 0.0):
-    """Modulus and phase of the renormalized flow at a finite cutoff:
-    the deformed product times the counterterm phase
-    exp(-i s (singular_part + theta) / 2).  Converges to
-    :func:`renormalized_polar` as the cutoff is removed.
+def flow_log(d: DeformedSpectrum, s, theta: float = 0.0):
+    """Log of the renormalized flow at a finite cutoff: the deformed
+    product times the counterterm phase exp(-i s (singular_part +
+    theta) / 2).  Converges to :func:`renormalized_log` as the cutoff
+    is removed.
     """
-    mod, phase = deformed_polar(d, s)
-    return mod, phase - 0.5 * s * (singular_part(d) + theta)
+    return deformed_log(d, s) - 0.5j * s * (singular_part(d) + theta)

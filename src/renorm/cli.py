@@ -184,24 +184,24 @@ def phi(ctx):
     kap = _renormalized_constant(cfg)
     s_values = cfg.s_grid.linear()
     nodes = np.array(s_values)
-    # each variant over the whole s-grid in one pass: (variant, n,
-    # Lambda, modulus array, phase array)
+    # each variant over the whole s-grid in one pass: (variant, n, Lambda, logs)
     scans = []
     for n in cfg.n_grid.geometric_ints():
         with _stage("finite", n=n):
-            scans.append(("finite", n, "", *ch.finite_polar(spec, nodes, n)))
+            scans.append(("finite", n, "", ch.finite_log(spec, nodes, n)))
     for lam_cut in cfg.lambda_grid.geometric():
         with _stage("flow", Lambda=lam_cut):
-            polar = ch.flow_polar(DeformedSpectrum(spec, reg, lam_cut), nodes, theta)
-        scans.append(("flow", "", lam_cut, *polar))
+            log_phi = ch.flow_log(DeformedSpectrum(spec, reg, lam_cut), nodes, theta)
+        scans.append(("flow", "", lam_cut, log_phi))
     with _stage("renormalized"):
-        scans.append(("renormalized", "", "", *ch.renormalized_polar(spec, kap, nodes, theta)))
+        scans.append(("renormalized", "", "", ch.renormalized_log(spec, kap, nodes, theta)))
 
     rows = []
     for i, s in enumerate(s_values):
-        for variant, n, lam_cut, mod, phase in scans:
-            val = cmath.rect(mod[i], phase[i])
-            rows.append((variant, n, lam_cut, theta, s, val.real, val.imag, mod[i], phase[i]))
+        for variant, n, lam_cut, log_phi in scans:
+            mod, phase = np.exp(log_phi[i].real), log_phi[i].imag
+            val = cmath.rect(mod, phase)
+            rows.append((variant, n, lam_cut, theta, s, val.real, val.imag, mod, phase))
     header = ["variant", "n", "Lambda", "theta", "s", "re", "im", "modulus", "phase"]
     path = _emit(cfg, "phi_scan", header, rows)
     click.echo(f"wrote {path}")
@@ -276,13 +276,13 @@ def flow(ctx):
         with _stage("z_regularized", Lambda=lam_cut):
             pt.regularized_window(d, lam, q)
     with _stage("phi_renormalized", s=s):
-        phi_ref = cmath.rect(*ch.renormalized_polar(spec, kap, s, theta))
+        phi_ref = cmath.exp(ch.renormalized_log(spec, kap, s, theta))
     with _stage("z_renormalized"):
         z_ref = pt.renormalized(spec, kap, lam, theta, q)
 
     def phi_row(lam_cut: float):
         with _stage("flow_phi", Lambda=lam_cut):
-            val = cmath.rect(*ch.flow_polar(DeformedSpectrum(spec, reg, lam_cut), s, theta))
+            val = cmath.exp(ch.flow_log(DeformedSpectrum(spec, reg, lam_cut), s, theta))
         return (lam_cut, s, theta, val.real, val.imag, abs(val - phi_ref))
 
     def z_row(lam_cut: float):

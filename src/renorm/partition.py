@@ -119,12 +119,6 @@ def _transform(phi, lam: float, q: QuadratureConfig, window) -> complex:
     return complex(val)
 
 
-def _rect(mod, phase):
-    """The complex values with these moduli and phases, at an array of
-    nodes."""
-    return mod * np.cos(phase) + 1j * (mod * np.sin(phase))
-
-
 def _require_real(val: complex, q: QuadratureConfig, what: str) -> float:
     # the transformed value is real by symmetry; a large imaginary
     # residue means the quadrature went wrong
@@ -145,7 +139,7 @@ def finite(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None
         raise ValueError("need at least one factor")
     q = q or QuadratureConfig()
     window = finite_window(spec, lam, n, q)
-    val = _transform(lambda s: _rect(*characteristic.finite_polar(spec, s, n)), lam, q, window)
+    val = _transform(lambda s: np.exp(characteristic.finite_log(spec, s, n)), lam, q, window)
     return _require_real(val, q, "finite partition value")
 
 
@@ -233,8 +227,8 @@ def renormalized(
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam)
 
     def integrand(s):
-        mod, phase = characteristic.renormalized_polar(spec, const_part, s, theta)
-        return norm * np.exp(-s * s / (4.0 * lam)) * mod * np.cos(phase)
+        log_phi = characteristic.renormalized_log(spec, const_part, s, theta)
+        return norm * np.exp(-s * s / (4.0 * lam) + log_phi.real) * np.cos(log_phi.imag)
 
     val, _ = quad_checked(
         integrand, -w, w, abs_tol=q.abs_tol, rel_tol=q.rel_tol, max_limit=max_limit
@@ -280,7 +274,7 @@ def flow(
     """
     q = q or QuadratureConfig()
     window = flow_window(d, lam, theta, q)
-    val = _transform(lambda s: _rect(*characteristic.flow_polar(d, s, theta)), lam, q, window)
+    val = _transform(lambda s: np.exp(characteristic.flow_log(d, s, theta)), lam, q, window)
     return _require_real(val, q, "flow partition value")
 
 
@@ -306,7 +300,7 @@ def regularized(
     """
     q = q or QuadratureConfig()
     window = regularized_window(d, lam, q)
-    val = _transform(lambda s: _rect(*characteristic.deformed_polar(d, s)), lam, q, window)
+    val = _transform(lambda s: np.exp(characteristic.deformed_log(d, s)), lam, q, window)
     return _require_real(val, q, "regularized partition value")
 
 

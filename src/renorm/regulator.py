@@ -142,18 +142,16 @@ class DeformedSpectrum:
 
     # -- reciprocal sum -----------------------------------------------------
 
-    def inverse_sum(self, tol: float = 1e-12) -> float:
+    def inverse_sum(self) -> float:
         """sum_j 1/beta_j(cutoff), finite for every positive cutoff.
 
-        Exact to rounding, so tol is only checked, at a cost that does
-        not grow with large cutoffs.  Sharp cutoff: the finite sum over the
-        survivors, with the surviving power-law tail in closed form (a
-        difference of two Hurwitz zeta values).  Exponential profile: a
-        direct head, then the Mellin series of the deformed tail in
-        continued Hurwitz zeta values (``spectrum._exp_power_tail``).
+        Exact to rounding, at a cost that does not grow with large
+        cutoffs.  Sharp cutoff: the finite sum over the survivors, with
+        the surviving power-law tail in closed form (a difference of two
+        Hurwitz zeta values).  Exponential profile: a direct head, then
+        the Mellin series of the deformed tail in continued Hurwitz zeta
+        values (``spectrum._exp_power_tail``).
         """
-        if not tol > 0:
-            raise ValueError("tol must be positive")
         return float(self._deformed_sum(*_power(1))[0])
 
 

@@ -176,7 +176,10 @@ class Spectrum:
     ) -> np.ndarray:
         """Row sums of f(s, beta_j) over the j <= upper with beta_j <=
         thresh, at every node of s: an array of shape (rows,) +
-        np.shape(s), a float s being a batch of one node.
+        np.shape(s), a scalar s being a batch of one node.  Nodes may be
+        complex, with Im s > -min_value() (a bound for deformed spectra
+        too); f and ``series`` see them as such only if one is off the
+        real axis, so a complex s on the axis sums as its real part.
 
         ``f`` maps a column of nodes and a block of elements to an array
         of shape (rows, nodes, len(block)), one row per summand, so
@@ -188,12 +191,11 @@ class Spectrum:
         and masked by ``thresh``; past J the caller caps ``upper`` at
         the threshold.  The nodes are summed in runs of ascending |s|,
         each with radius = its largest |s| (see :meth:`_runs`).  Past J,
-        ``series(s, b, K)`` gives the orders m, a tuple of rows of K
-        numbers, and the weights w, an array of
-        shape (rows, nodes, K) (one node, broadcast, for a summand free
-        of s), with row i of
-        f(s, beta) = sum_k w_ik (b/beta)**m_ik, b = beta_{J+1}, truncated
-        after K terms of an expansion in radius/beta; each distinct
+        ``series(s, b, K)`` gives the orders m, a tuple of rows of
+        numbers, and the real weights w, an array of shape (rows, nodes,
+        orders) (one node, broadcast, for a summand free of s), with
+        row i of f(s, beta) = sum_k w_ik (b/beta)**m_ik, b = beta_{J+1},
+        truncated past order 2K in radius/beta; each distinct
         order is summed once, in closed form and free of s, for every
         row and node that uses it.  K follows from the geometric bound
         (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with n the tail length
@@ -207,22 +209,26 @@ class Spectrum:
         radius / b is at most e^{-2 x_{J+1}} / 2, which sets K, and the
         tail sums are :func:`_exp_power_tail`'s.
 
-        Raises ValueError if a node is not finite, NoConvergence, before
-        summing, if J exceeds the term budget, or if the deformed tail
-        sums overflow, and DivergentSum if an infinite tail diverges.
+        Raises ValueError if a node is not finite or lies on or below
+        the branch points, NoConvergence, before summing, if J exceeds
+        the term budget, or if the deformed tail sums overflow, and
+        DivergentSum if an infinite tail diverges.
         """
         shape = np.shape(s)
-        nodes = np.ravel(np.asarray(s, dtype=float))
+        nodes = np.ravel(s).astype(complex if np.iscomplexobj(s) else float, copy=False)
         if not np.all(np.isfinite(nodes)):
             raise ValueError(f"argument s must be finite, got {nodes[~np.isfinite(nodes)][0]}")
+        if np.iscomplexobj(nodes):
+            below = nodes[nodes.imag <= -self.min_value()]
+            if below.size:
+                raise ValueError(f"argument s = {below[0]} is on or below the branch "
+                                 f"points: need Im s > -mu = {-self.min_value():g}")
+            if not nodes.imag.any():
+                nodes = nodes.real.copy()
         runs = self._runs(np.abs(nodes), upper, exp_cutoff)
-        if len(runs) == 1:
-            total = self._run(f, series, nodes, upper, thresh, exp_cutoff)
-        else:
-            index = np.concatenate(runs)
-            parts = [self._run(f, series, nodes[run], upper, thresh, exp_cutoff) for run in runs]
-            total = np.empty((parts[0].shape[0], len(nodes)))
-            total[:, index] = np.concatenate(parts, axis=1)
+        parts = [self._run(f, series, nodes[run], upper, thresh, exp_cutoff) for run in runs]
+        total = np.empty((parts[0].shape[0], len(nodes)))
+        total[:, np.concatenate(runs)] = np.concatenate(parts, axis=1)
         return total.reshape(total.shape[:1] + shape)
 
     def _plan(self, radius: float, upper, exp_cutoff: float | None):
@@ -309,7 +315,7 @@ class Spectrum:
                     raise NoConvergence(
                         f"tail sums overflow the float range at tail exponent p = {p:g}{at}"
                     )
-                return np.matmul(weights, sums[:, :, None])[..., 0]
+                return np.einsum("rnk,rk->rn", weights, sums)
 
             total = total + _by_nodes(tail, nodes, terms)
         return total

@@ -131,7 +131,7 @@ def criterion_05_quadrature_oracle(seed: int) -> CriterionResult:
             spec = ExplicitWithTail(head, rng.uniform(0.5, 3.0), rng.uniform(0.6, 2.0))
         s = rng.uniform(-5.0, 5.0)
         n = int(rng.integers(1, 9))
-        closed = cmath.rect(*ch.finite_polar(spec, s, n))
+        closed = cmath.exp(ch.finite_log(spec, s, n))
         diff = abs(closed - ch.finite_by_quadrature(spec, s, n, q))
         worst = max(worst, diff)
     ok = worst <= 1e-8
@@ -147,12 +147,12 @@ def criterion_06_modulus_bounds(seed: int) -> CriterionResult:
     ok = True
     worst_gap = math.inf
     for s in (0.25, 1.0, 4.0):
-        f = ch.renormalized_polar(_HARMONIC, 0.0, s)[0]
+        f = np.exp(ch.renormalized_log(_HARMONIC, 0.0, s).real)
         lower = math.exp(-s * s * b2 / 4.0)
         if not (lower <= f < 1.0):
             ok = False
         worst_gap = min(worst_gap, f - lower)
-        mods = [ch.finite_polar(_HARMONIC, s, n)[0] for n in range(1, 101)]
+        mods = [np.exp(ch.finite_log(_HARMONIC, s, n).real) for n in range(1, 101)]
         if any(b >= a for a, b in zip(mods, mods[1:])):
             ok = False
     return CriterionResult(
@@ -216,13 +216,12 @@ def criterion_09_flow_convergence(seed: int) -> CriterionResult:
     reg = SharpCutoff(1.0)
     kap = constant_part(_HARMONIC, reg, tol=1e-10)
     q = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_nodes=1 << 17)
-    phi_ref = cmath.rect(*ch.renormalized_polar(_HARMONIC, kap, s))
+    phi_ref = cmath.exp(ch.renormalized_log(_HARMONIC, kap, s))
     z_ref = pt.renormalized(_HARMONIC, kap, lam, 0.0, q)
     a_phi = abs(phi_ref) * abs(s) * math.sqrt(1.0 + s * s) / 4.0
 
     def phi_slope(u):
-        mod, phase = ch.renormalized_polar(_HARMONIC, kap, u)
-        return (mod * np.cos(phase) + 1j * (mod * np.sin(phase))) * (u * u + 1j * u)
+        return np.exp(ch.renormalized_log(_HARMONIC, kap, u)) * (u * u + 1j * u)
 
     a_z = abs(pt.transform(phi_slope, lam, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-9))) / 4.0
     cutoffs = (1e3, 1e4, 1e5)
@@ -230,7 +229,7 @@ def criterion_09_flow_convergence(seed: int) -> CriterionResult:
     z_d = []
     for lam_cut in cutoffs:
         d = DeformedSpectrum(_HARMONIC, reg, lam_cut)
-        phi_d.append(abs(cmath.rect(*ch.flow_polar(d, s)) - phi_ref))
+        phi_d.append(abs(cmath.exp(ch.flow_log(d, s)) - phi_ref))
         z_d.append(abs(pt.flow(d, lam, 0.0, q) - z_ref))
     decreasing = all(b < a for a, b in zip(phi_d, phi_d[1:])) and all(
         b < a for a, b in zip(z_d, z_d[1:])
@@ -288,8 +287,8 @@ def criterion_11_cross_track(seed: int) -> CriterionResult:
         hstep = 0.02
 
         def fd(hh: float) -> complex:
-            up = cmath.rect(*ch.renormalized_polar(_SQUARES, kap, hh, theta))
-            dn = cmath.rect(*ch.renormalized_polar(_SQUARES, kap, -hh, theta))
+            up = cmath.exp(ch.renormalized_log(_SQUARES, kap, hh, theta))
+            dn = cmath.exp(ch.renormalized_log(_SQUARES, kap, -hh, theta))
             return (up - dn) / (2.0 * hh)
 
         slope = (4.0 * fd(hstep / 2.0) - fd(hstep)) / 3.0

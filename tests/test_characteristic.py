@@ -30,20 +30,20 @@ PHASE_HARMONIC_S1 = -0.30164032046753320  # -gamma + sum (1/j - atan(1/j))
 
 def test_single_factor_closed_form():
     for s in (0.3, -1.7, 4.0):
-        got = cmath.rect(*ch.finite_polar(rn.PowerLaw(1.0, 1.0), s, 1))
+        got = cmath.exp(ch.finite_log(rn.PowerLaw(1.0, 1.0), s, 1))
         ref = cmath.exp(-0.5 * cmath.log(1.0 - 1j * s))
         assert abs(got - ref) < 1e-14
 
 
 def test_value_at_zero_is_one():
-    assert ch.finite_polar(HARMONIC, 0.0, 17) == (1.0, 0.0)
-    assert ch.renormalized_polar(HARMONIC, GAMMA, 0.0) == (1.0, 0.0)
+    assert ch.finite_log(HARMONIC, 0.0, 17) == 0.0
+    assert ch.renormalized_log(HARMONIC, GAMMA, 0.0) == 0.0
 
 
 def test_two_factor_polar_values():
-    mod, phase = ch.finite_polar(HARMONIC, 1.0, 2)
-    assert mod == pytest.approx((2.0 * 1.25) ** -0.25, abs=1e-15)
-    assert phase == pytest.approx((math.atan(1.0) + math.atan(0.5)) / 2.0, abs=1e-15)
+    log_phi = ch.finite_log(HARMONIC, 1.0, 2)
+    assert np.exp(log_phi.real) == pytest.approx((2.0 * 1.25) ** -0.25, abs=1e-15)
+    assert log_phi.imag == pytest.approx((math.atan(1.0) + math.atan(0.5)) / 2.0, abs=1e-15)
 
 
 def test_sections_monotone_decreasing_random():
@@ -51,7 +51,7 @@ def test_sections_monotone_decreasing_random():
     for _ in range(10):
         spec = rn.PowerLaw(rng.uniform(0.5, 3.0), rng.uniform(0.6, 2.0))
         s = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
-        mods = [ch.finite_polar(spec, s, n)[0] for n in range(1, 30)]
+        mods = [np.exp(ch.finite_log(spec, s, n).real) for n in range(1, 30)]
         assert all(b < a for a, b in zip(mods, mods[1:]))
         assert all(m < 1.0 for m in mods)
 
@@ -59,17 +59,17 @@ def test_sections_monotone_decreasing_random():
 def test_modulus_lower_bound():
     b2 = float(HARMONIC.inverse_power_sum(2, 1e-12))
     for s in (0.25, 1.0, 4.0):
-        f, _ = ch.renormalized_polar(HARMONIC, 0.0, s)
+        f = np.exp(ch.renormalized_log(HARMONIC, 0.0, s).real)
         assert math.exp(-s * s * b2 / 4.0) <= f < 1.0
 
 
 def test_modulus_limit_golden_and_closed_form():
-    got, _ = ch.renormalized_polar(HARMONIC, 0.0, 1.0)
+    got = np.exp(ch.renormalized_log(HARMONIC, 0.0, 1.0).real)
     assert abs(got - F_LIMIT_HARMONIC_S1) <= 1e-10
     # independent route: product over (1 + s^2/j^2) telescopes to sinh
     ref = float((sinh(pi) / pi) ** mpf("-0.25"))
     assert abs(got - ref) <= 1e-10
-    got4, _ = ch.renormalized_polar(HARMONIC, 0.0, 4.0)
+    got4 = np.exp(ch.renormalized_log(HARMONIC, 0.0, 4.0).real)
     ref4 = float((sinh(4 * pi) / (4 * pi)) ** mpf("-0.25"))
     assert abs(got4 - ref4) <= 1e-11
 
@@ -77,7 +77,7 @@ def test_modulus_limit_golden_and_closed_form():
 def test_modulus_limit_with_head_matches_brute_force():
     spec = rn.ExplicitWithTail([0.3, 9.0], 2.0, 1.5)
     s = 2.4
-    got, _ = ch.renormalized_polar(spec, 0.0, s)
+    got = np.exp(ch.renormalized_log(spec, 0.0, s).real)
     vals = spec.values(400_000)
     ref = math.exp(-0.25 * float(np.sum(np.log1p((s / vals) ** 2))))
     # the brute-force product still misses its own tail, of size
@@ -88,8 +88,8 @@ def test_modulus_limit_with_head_matches_brute_force():
 
 def test_modulus_limit_even():
     for s in (0.7, 2.3):
-        up, _ = ch.renormalized_polar(HARMONIC, 0.0, s)
-        dn, _ = ch.renormalized_polar(HARMONIC, 0.0, -s)
+        up = ch.renormalized_log(HARMONIC, 0.0, s).real
+        dn = ch.renormalized_log(HARMONIC, 0.0, -s).real
         assert up == dn
 
 
@@ -98,19 +98,19 @@ def test_rapid_decay_with_many_factors():
     # factors beats any fixed power of s
     s = 1e3
     m = 3
-    vals = [ch.finite_polar(HARMONIC, s, n)[0] * s**m for n in (8, 12, 16, 20)]
+    vals = [np.exp(ch.finite_log(HARMONIC, s, n).real) * s**m for n in (8, 12, 16, 20)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-9
 
 
 def test_phase_divergence_without_summable_reciprocals():
     # the raw phase grows like the partial reciprocal sum
-    _, g_small = ch.finite_polar(HARMONIC, 1.0, 10**2)
-    _, g_large = ch.finite_polar(HARMONIC, 1.0, 10**4)
+    g_small = ch.finite_log(HARMONIC, 1.0, 10**2).imag
+    g_large = ch.finite_log(HARMONIC, 1.0, 10**4).imag
     assert g_large - g_small > 1.0
     # with summable reciprocals the phase settles
-    _, h_small = ch.finite_polar(SQUARES, 1.0, 10**2)
-    _, h_large = ch.finite_polar(SQUARES, 1.0, 10**4)
+    h_small = ch.finite_log(SQUARES, 1.0, 10**2).imag
+    h_large = ch.finite_log(SQUARES, 1.0, 10**4).imag
     assert abs(h_large - h_small) < 1e-2
 
 
@@ -128,20 +128,20 @@ def test_closed_form_sums_match_direct_sums(p, c, head, s, top):
     # threshold is the top-th tail value
     spec = rn.ExplicitWithTail(head, c, p)
     r = s / spec.values(top)
-    mod, phase = ch.finite_polar(spec, s, top)
-    assert abs(math.log(mod) + 0.25 * math.fsum(np.log1p(r * r))) <= 1e-12
-    assert abs(phase - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
-    assert ch.finite_polar(spec, -s, top) == (mod, -phase)
+    log_phi = ch.finite_log(spec, s, top)
+    assert abs(log_phi.real + 0.25 * math.fsum(np.log1p(r * r))) <= 1e-12
+    assert abs(log_phi.imag - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
+    assert ch.finite_log(spec, -s, top) == log_phi.conjugate()
 
     d = rn.DeformedSpectrum(spec, SHARP, c * float(top) ** p)
     vals = spec.values(len(head) + top + 1)
     kept = vals[vals <= d.cutoff]
     assert abs(d.inverse_sum() - math.fsum(1.0 / kept)) <= 1e-12
     r = s / kept
-    mod, phase = ch.deformed_polar(d, s)
-    assert abs(math.log(mod) + 0.25 * math.fsum(np.log1p(r * r))) <= 1e-12
-    assert abs(phase - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
-    assert ch.deformed_polar(d, -s) == (mod, -phase)
+    log_phi = ch.deformed_log(d, s)
+    assert abs(log_phi.real + 0.25 * math.fsum(np.log1p(r * r))) <= 1e-12
+    assert abs(log_phi.imag - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
+    assert ch.deformed_log(d, -s) == log_phi.conjugate()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -162,10 +162,10 @@ def test_exponential_sums_match_direct_sums(p, c, head, lam_cut, s):
     beta = vals * np.exp(np.sqrt(vals / lam_cut))
     assert abs(d.inverse_sum() - math.fsum(1.0 / beta)) <= 1e-12
     r = s / beta
-    mod, phase = ch.deformed_polar(d, s)
-    assert abs(mod - math.exp(-0.25 * math.fsum(np.log1p(r * r)))) <= 1e-12
-    assert abs(phase - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
-    assert ch.deformed_polar(d, -s) == (mod, -phase)
+    log_phi = ch.deformed_log(d, s)
+    assert abs(np.exp(log_phi.real) - math.exp(-0.25 * math.fsum(np.log1p(r * r)))) <= 1e-12
+    assert abs(log_phi.imag - 0.5 * math.fsum(np.arctan(r))) <= 1e-12
+    assert ch.deformed_log(d, -s) == log_phi.conjugate()
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -196,9 +196,9 @@ def test_renormalized_pair_matches_gamma_closed_forms(p, c, head, s):
 
     total -= sum(factor(y / mpf(j) ** int(p)) for j in range(1, len(head) + 1))
     total += sum(factor(mpf(s) / h) for h in head)
-    mod, phase = ch.renormalized_polar(spec, 0.0, s)
-    assert abs(mod - float(exp(-total.real / 2))) <= 1e-12
-    assert abs(-2.0 * phase - float(total.imag)) <= 1e-12
+    log_phi = ch.renormalized_log(spec, 0.0, s)
+    assert abs(np.exp(log_phi.real) - float(exp(-total.real / 2))) <= 1e-12
+    assert abs(-2.0 * log_phi.imag - float(total.imag)) <= 1e-12
 
 
 def _spectrum_with_head(p, c, head):
@@ -211,15 +211,15 @@ def _batch_nodes(xs):
 
 
 def _batch_values(spec, s):
-    """Every batched characteristic value of the spectrum at the nodes s:
-    finite sections, both deformations and the renormalized pair."""
+    """Every batched characteristic log of the spectrum at the nodes s:
+    finite sections, both deformations and the renormalized limit."""
     sharp = rn.DeformedSpectrum(spec, rn.SharpCutoff(1.5), 4e3)
     expo = rn.DeformedSpectrum(spec, rn.Exponential(), 70.0)
     return {
-        "finite": ch.finite_polar(spec, s, 1000),
-        "sharp": ch.deformed_polar(sharp, s),
-        "exponential": ch.deformed_polar(expo, s),
-        "renormalized": ch.renormalized_polar(spec, 0.3, s),
+        "finite": ch.finite_log(spec, s, 1000),
+        "sharp": ch.deformed_log(sharp, s),
+        "exponential": ch.deformed_log(expo, s),
+        "renormalized": ch.renormalized_log(spec, 0.3, s),
     }
 
 
@@ -241,11 +241,11 @@ def test_batch_matches_scalar_evaluation(xs, p, c, head):
     batch = _batch_values(spec, s)
     for i, x in enumerate(s):
         scalar = _batch_values(spec, float(x))
-        for key, (mod, phase) in batch.items():
-            want_mod, want_phase = scalar[key]
-            assert isinstance(want_mod, float) and isinstance(want_phase, float)
-            assert abs(mod[i] - want_mod) <= 3e-14
-            assert abs(phase[i] - want_phase) <= 3e-14 * max(1.0, abs(want_phase))
+        for key, log_phi in batch.items():
+            want = scalar[key]
+            assert isinstance(want, np.complex128)
+            assert abs(np.exp(log_phi[i].real) - np.exp(want.real)) <= 3e-14
+            assert abs(log_phi[i].imag - want.imag) <= 3e-14 * max(1.0, abs(want.imag))
 
 
 def test_batch_nodes_pay_for_their_own_head(monkeypatch):
@@ -262,13 +262,13 @@ def test_batch_nodes_pay_for_their_own_head(monkeypatch):
         return by_nodes(fn, nodes, width)
 
     monkeypatch.setattr(spectrum, "_by_nodes", counting)
-    mod, phase = ch.deformed_polar(expo, s)
+    log_phi = ch.deformed_log(expo, s)
     batch = sum(pairs)
     pairs.clear()
-    scalar = [ch.deformed_polar(expo, float(x)) for x in s]
+    scalar = np.array([ch.deformed_log(expo, float(x)) for x in s])
     assert batch <= 2 * sum(pairs)
-    assert np.max(np.abs(mod - [m for m, _ in scalar])) <= 3e-14
-    assert np.max(np.abs(phase - [ph for _, ph in scalar])) <= 3e-14
+    assert np.max(np.abs(np.exp(log_phi.real) - np.exp(scalar.real))) <= 3e-14
+    assert np.max(np.abs(log_phi.imag - scalar.imag)) <= 3e-14
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -277,9 +277,9 @@ def test_batch_modulus_even_and_phase_odd(xs, p, c, head):
     spec = _spectrum_with_head(p, c, head)
     s = np.array(xs)
     values = _batch_values(spec, np.concatenate((s, -s)))
-    for key, (mod, phase) in values.items():
-        assert np.array_equal(mod[: len(s)], mod[len(s):])
-        assert np.array_equal(phase[: len(s)], -phase[len(s):])
+    for key, log_phi in values.items():
+        assert np.array_equal(log_phi[: len(s)], log_phi[len(s):].conjugate())
+        mod = np.exp(log_phi.real)
         assert np.all((0.0 < mod) & (mod <= 1.0))
 
 
@@ -303,7 +303,7 @@ def test_quadrature_oracle_matches():
         spec = rn.PowerLaw(rng.uniform(0.5, 3.0), rng.uniform(0.6, 2.0))
         s = rng.uniform(-5.0, 5.0)
         n = int(rng.integers(1, 9))
-        a = cmath.rect(*ch.finite_polar(spec, s, n))
+        a = cmath.exp(ch.finite_log(spec, s, n))
         b = ch.finite_by_quadrature(spec, s, n, q)
         assert abs(a - b) <= 1e-8
 
@@ -320,7 +320,7 @@ def test_quadrature_oracle_rejects_large_n():
 
 
 def test_renormalized_phase_golden():
-    got = -2.0 * ch.renormalized_polar(HARMONIC, GAMMA, 1.0)[1]
+    got = -2.0 * ch.renormalized_log(HARMONIC, GAMMA, 1.0).imag
     assert abs(got - PHASE_HARMONIC_S1) <= 1e-10
     # independent route via a high-precision term sum
     ref = float(-mpf(GAMMA) + nsum(lambda j: 1 / j - atan(1 / j), [1, inf]))
@@ -329,17 +329,17 @@ def test_renormalized_phase_golden():
 
 def test_renormalized_phase_odd():
     for s in (0.4, 1.0, 3.3):
-        a = -2.0 * ch.renormalized_polar(HARMONIC, GAMMA, s)[1]
-        b = -2.0 * ch.renormalized_polar(HARMONIC, GAMMA, -s)[1]
+        a = -2.0 * ch.renormalized_log(HARMONIC, GAMMA, s).imag
+        b = -2.0 * ch.renormalized_log(HARMONIC, GAMMA, -s).imag
         assert abs(a + b) < 1e-12
 
 
 def test_renormalized_at_zero_and_conjugation():
     for theta in (0.0, 2.0):
-        assert cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, 0.0, theta)) == 1.0 + 0.0j
+        assert cmath.exp(ch.renormalized_log(HARMONIC, GAMMA, 0.0, theta)) == 1.0 + 0.0j
     for s in (0.5, 1.9):
-        up = cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, s, 0.7))
-        dn = cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, -s, 0.7))
+        up = cmath.exp(ch.renormalized_log(HARMONIC, GAMMA, s, 0.7))
+        dn = cmath.exp(ch.renormalized_log(HARMONIC, GAMMA, -s, 0.7))
         assert abs(up - dn.conjugate()) < 1e-12
 
 
@@ -348,14 +348,14 @@ def test_renormalization_preserves_existing_limit():
     # reciprocal sum as constant part and no extra phase returns it
     b1 = SQUARES.inverse_power_sum(1, 1e-13)
     for s in (1.0, -2.2):
-        lim = cmath.rect(*ch.finite_polar(SQUARES, s, 10**6))
-        got = cmath.rect(*ch.renormalized_polar(SQUARES, b1, s))
+        lim = cmath.exp(ch.finite_log(SQUARES, s, 10**6))
+        got = cmath.exp(ch.renormalized_log(SQUARES, b1, s))
         assert abs(got - lim) < 1e-6
 
 
 def test_finite_rejects_bad_n():
     with pytest.raises(ValueError):
-        ch.finite_polar(HARMONIC, 1.0, 0)
+        ch.finite_log(HARMONIC, 1.0, 0)
 
 
 def test_sharp_flow_is_rephased_section():
@@ -367,9 +367,9 @@ def test_sharp_flow_is_rephased_section():
     assert m == 777
     r = rn.singular_part(d)
     for s, theta in ((0.8, 0.0), (-2.1, 1.4)):
-        section = cmath.rect(*ch.finite_polar(HARMONIC, s, m))
+        section = cmath.exp(ch.finite_log(HARMONIC, s, m))
         expect = section * cmath.exp(-0.5j * s * (r + theta))
-        assert abs(cmath.rect(*ch.flow_polar(d, s, theta)) - expect) < 1e-14
+        assert abs(cmath.exp(ch.flow_log(d, s, theta)) - expect) < 1e-14
 
 
 def test_sharp_flow_with_masked_head():
@@ -383,7 +383,7 @@ def test_sharp_flow_with_masked_head():
     phase = sum(math.atan(s / b) for b in survivors)
     r = rn.singular_part(d)
     manual = math.exp(-0.25 * log_mod) * cmath.exp(0.5j * (phase - s * (r + theta)))
-    assert abs(cmath.rect(*ch.flow_polar(d, s, theta)) - manual) < 1e-13
+    assert abs(cmath.exp(ch.flow_log(d, s, theta)) - manual) < 1e-13
 
 
 def test_renormalized_limit_term_budget():
@@ -391,55 +391,122 @@ def test_renormalized_limit_term_budget():
     # applies; the shared budget refuses before summing any of them
     t0 = time.perf_counter()
     with pytest.raises(rn.NoConvergence):
-        ch.renormalized_polar(HARMONIC, 0.0, 1e9)
+        ch.renormalized_log(HARMONIC, 0.0, 1e9)
     with pytest.raises(rn.NoConvergence):
-        ch.renormalized_polar(HARMONIC, 0.0, np.array([0.5, 1e9]))
+        ch.renormalized_log(HARMONIC, 0.0, np.array([0.5, 1e9]))
     assert time.perf_counter() - t0 < 1.0
 
 
 def test_renormalized_limit_rejects_nonfinite_argument():
     # every characteristic quantity, at a lone node and at one bad node
-    # of an array
+    # of an array: a non-finite s, and a complex s on or below the
+    # branch points at Im s = -mu = -1, where the principal logs would
+    # silently take the wrong branch
     sharp = rn.DeformedSpectrum(HARMONIC, SHARP, 1e3)
     expo = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), 1e3)
     quantities = [
-        lambda s: ch.finite_polar(HARMONIC, s, 10),
-        lambda s: ch.renormalized_polar(HARMONIC, GAMMA, s, 0.3),
-        lambda s: ch.deformed_polar(sharp, s),
-        lambda s: ch.deformed_polar(expo, s),
-        lambda s: ch.flow_polar(sharp, s, 0.3),
-        lambda s: ch.flow_polar(expo, s, 0.3),
+        lambda s: ch.finite_log(HARMONIC, s, 10),
+        lambda s: ch.renormalized_log(HARMONIC, GAMMA, s, 0.3),
+        lambda s: ch.deformed_log(sharp, s),
+        lambda s: ch.deformed_log(expo, s),
+        lambda s: ch.flow_log(sharp, s, 0.3),
+        lambda s: ch.flow_log(expo, s, 0.3),
     ]
+    cases = [(bad, "must be finite") for bad in (math.nan, math.inf, -math.inf)]
+    cases += [(bad, r"branch points.*-mu = -1") for bad in (1.0 - 1.0j, 2.0 - 1.5j, -3j)]
     for quantity in quantities:
-        for bad in (math.nan, math.inf, -math.inf):
+        for bad, message in cases:
             for s in (bad, np.array([0.0, 1.5, bad, -2.0])):
-                with pytest.raises(ValueError, match="must be finite"):
+                with pytest.raises(ValueError, match=message):
                     quantity(s)
+
+
+def _mp_log_sum(s, betas, renormalized=False):
+    """sum_j log(1 + w_j), less the w_j for the renormalized limit,
+    w_j = -i s / beta_j, in the working precision."""
+    minus_is = -1j * mpc(s)
+    if renormalized:
+        return mp.fsum(log(1 + minus_is / b) - minus_is / b for b in betas)
+    return mp.fsum(log(1 + minus_is / b) for b in betas)
+
+
+def test_complex_arguments_match_mpmath_sums():
+    # all four logs on the strip Im s > -mu, against 30-digit sums: the
+    # direct products, and for the renormalized limit of a c j tail the
+    # closed form sum_j [log(1 - i s/j) + i s/j] = i gamma s -
+    # log Gamma(1 - i s), with the explicit head's factors swapped in
+    theta, kap = 0.3, GAMMA
+    for spec in (HARMONIC, rn.ExplicitWithTail([0.7, 2.5], 1.0, 1.0)):
+        mu = spec.min_value()
+        s = np.array([0.05 + 0.03j, 0.7 - 0.5j * mu, -2.5 + 0.3j, 12.0 - 0.4j * mu,
+                      -40.0 + 50.0j, 150.0 + 7.0j, 299.0 - 0.5j * mu])
+        sharp = rn.DeformedSpectrum(spec, SHARP, 1e3)
+        expo = rn.DeformedSpectrum(spec, rn.Exponential(), 5.0)
+        quantities = {
+            "finite": lambda x: ch.finite_log(spec, x, 1000),
+            "renormalized": lambda x: ch.renormalized_log(spec, kap, x, theta),
+            "sharp": lambda x: ch.deformed_log(sharp, x),
+            "sharp flow": lambda x: ch.flow_log(sharp, x, theta),
+            "exponential": lambda x: ch.deformed_log(expo, x),
+            "exponential flow": lambda x: ch.flow_log(expo, x, theta),
+        }
+        batch = {key: quantity(s) for key, quantity in quantities.items()}
+        with mp.workdps(30):
+            # 1000 sections, all of them below the sharp cutoff; the
+            # exponentially deformed elements out to x_j = 40
+            sections = [mpf(v) for v in spec.values(1000)]
+            deformed = [b * exp(sqrt(b / 5)) for b in (mpf(v) for v in spec.values(8000))]
+            head = [mpf(v) for v in spec.head_values]
+            swapped = [mpf(j) for j in range(1, len(head) + 1)]
+            for i, u in enumerate(s):
+                z = mpc(u)
+                product = -_mp_log_sum(z, sections) / 2
+                profile = -_mp_log_sum(z, deformed) / 2
+                limit = 1j * euler * z - loggamma(1 - 1j * z)
+                limit += _mp_log_sum(z, head, True) - _mp_log_sum(z, swapped, True)
+                want = {
+                    "finite": product,
+                    "renormalized": -(limit + 1j * z * (theta - mpf(kap))) / 2,
+                    "sharp": product,
+                    "sharp flow": product - 0.5j * z * (mpf(rn.singular_part(sharp)) + theta),
+                    "exponential": profile,
+                    "exponential flow": profile - 0.5j * z * (mpf(rn.singular_part(expo)) + theta),
+                }
+                for key, quantity in quantities.items():
+                    ref = complex(want[key])
+                    bound = 1e-15 * max(1.0, abs(ref))
+                    assert abs(batch[key][i] - ref) <= bound, (key, u)
+                    assert abs(quantity(u) - ref) <= bound, (key, u)
+        # a complex s on the real axis is summed as its real part
+        for quantity in quantities.values():
+            x = s.real
+            assert np.array_equal(quantity(x.astype(complex)), quantity(x))
+            assert quantity(complex(x[3])) == quantity(x[3])
 
 
 def test_flow_at_zero_argument():
     for lam_cut in (10.0, 1e4):
         d = rn.DeformedSpectrum(HARMONIC, SHARP, lam_cut)
-        assert cmath.rect(*ch.flow_polar(d, 0.0, 0.9)) == 1.0 + 0.0j
+        assert cmath.exp(ch.flow_log(d, 0.0, 0.9)) == 1.0 + 0.0j
 
 
 def test_flow_modulus_ignores_counterterm():
     d = rn.DeformedSpectrum(HARMONIC, SHARP, 500.0)
     for s in (0.5, 2.0):
-        mod_flow, _ = ch.flow_polar(d, s, 1.3)
-        mod_raw, _ = ch.deformed_polar(d, s)
+        mod_flow = np.exp(ch.flow_log(d, s, 1.3).real)
+        mod_raw = np.exp(ch.deformed_log(d, s).real)
         assert mod_flow == mod_raw
-        assert abs(abs(cmath.rect(*ch.flow_polar(d, s, 1.3))) - mod_raw) < 1e-14
+        assert abs(abs(cmath.exp(ch.flow_log(d, s, 1.3))) - mod_raw) < 1e-14
 
 
 def test_flow_converges_to_renormalized_limit():
     kap = rn.constant_part(HARMONIC, SHARP, tol=1e-9)
     for s in (0.5, 1.0, 2.0):
-        ref = cmath.rect(*ch.renormalized_polar(HARMONIC, kap, s))
+        ref = cmath.exp(ch.renormalized_log(HARMONIC, kap, s))
         dists = []
         for lam_cut in (1e3, 1e4, 1e5):
             d = rn.DeformedSpectrum(HARMONIC, SHARP, lam_cut)
-            dists.append(abs(cmath.rect(*ch.flow_polar(d, s)) - ref))
+            dists.append(abs(cmath.exp(ch.flow_log(d, s)) - ref))
         assert all(b < a for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-4
 
@@ -457,7 +524,7 @@ def test_flow_distances_match_gamma_closed_forms():
     s = 1.0
     cutoffs = (10**3, 10**4, 10**5)
     q = rn.QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11, max_nodes=1 << 17)
-    phi_ref = cmath.rect(*ch.renormalized_polar(HARMONIC, GAMMA, s))
+    phi_ref = cmath.exp(ch.renormalized_log(HARMONIC, GAMMA, s))
     z_ref = pt.renormalized(HARMONIC, GAMMA, 1.0, 0.0, q)
     with mp.workdps(30):
 
@@ -484,7 +551,7 @@ def test_flow_distances_match_gamma_closed_forms():
         z_ratio = exact_z[2] / exact_z[0]
     for lam_cut, e_phi, e_z in zip(cutoffs, exact_phi, exact_z):
         d = rn.DeformedSpectrum(HARMONIC, SHARP, float(lam_cut))
-        got_phi = abs(cmath.rect(*ch.flow_polar(d, s)) - phi_ref)
+        got_phi = abs(cmath.exp(ch.flow_log(d, s)) - phi_ref)
         got_z = abs(pt.flow(d, 1.0, 0.0, q) - z_ref)
         assert abs(got_phi / float(e_phi) - 1.0) <= 1e-6
         assert abs(got_z / float(e_z) - 1.0) <= 1e-6
@@ -495,17 +562,17 @@ def test_flow_distances_match_gamma_closed_forms():
 
 def test_flow_converges_with_exponential_profile():
     kap = rn.constant_part(HARMONIC, rn.Exponential(), tol=1e-5)
-    ref = cmath.rect(*ch.renormalized_polar(HARMONIC, kap, 1.0))
+    ref = cmath.exp(ch.renormalized_log(HARMONIC, kap, 1.0))
     dists = []
     for lam_cut in (1e2, 1e3, 1e4):
         d = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), lam_cut)
-        dists.append(abs(cmath.rect(*ch.flow_polar(d, 1.0)) - ref))
+        dists.append(abs(cmath.exp(ch.flow_log(d, 1.0)) - ref))
     assert all(b < a for a, b in zip(dists, dists[1:]))
 
 
 def test_exponential_deformed_value_example():
     d = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), 100.0)
-    got = cmath.rect(*ch.deformed_polar(d, 1.0))
+    got = cmath.exp(ch.deformed_log(d, 1.0))
     # brute-force partial product over the deformed elements
     js = np.arange(1, 2_000_001, dtype=float)
     bl = js * np.exp(np.sqrt(js / 100.0))
@@ -523,5 +590,5 @@ def test_exponential_extreme_cutoffs_finish():
             d = rn.DeformedSpectrum(rn.PowerLaw(1.0, p), rn.Exponential(), lam_cut)
             assert 0.0 < d.inverse_sum() < math.inf
             for s in (0.3, 4.0, 14.0):
-                mod, phase = ch.deformed_polar(d, s)
-                assert 0.0 < mod <= 1.0 and 0.0 < phase < math.inf
+                log_phi = ch.deformed_log(d, s)
+                assert 0.0 < np.exp(log_phi.real) <= 1.0 and 0.0 < log_phi.imag < math.inf

@@ -263,18 +263,29 @@ def _loop_values(spec, count):
             for m in range(1, count + 1)]
 
 
+def _disc_points(mu):
+    """s = +-0.1 mu, +-0.3 mu and 0.5 mu on the real axis, then 13 points
+    on each circle |s| = 0.1 mu, 0.3 mu and 0.5 mu, each with the bound
+    an order-30 sum meets there."""
+    real = [(0.1, 1e-14), (0.3, 1e-14), (-0.3, 1e-14), (0.5, 1e-9)]
+    circles = [(r * cmath.exp(2j * math.pi * k / 13), bound)
+               for r, bound in ((0.1, 1e-14), (0.3, 1e-14), (0.5, 1e-9)) for k in range(13)]
+    return [(x * mu, bound) for x, bound in real + circles]
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.7])
 def test_renormalized_series_sums_to_the_analytic_limit(theta):
     # the exact track's renormalized series, summed to order 30, is the
-    # analytic track's renormalized limit inside the disc |s| < mu = 1;
-    # b1 diverges for the harmonic spectrum, so only the shift carries it
+    # analytic track's renormalized limit inside the disc |s| < mu = 1,
+    # on the real axis and off it; b1 diverges for the harmonic
+    # spectrum, so only the shift carries it
     spec = rn.PowerLaw(1.0, 1.0)
     kap = rn.constant_part(spec, rn.SharpCutoff(1.0))
     coeffs = dg.series_coefficients(
         "phi_renorm", 30, _loop_values(spec, 30), shift_value=(kap - theta) / 2.0
     )
-    for s, bound in ((0.1, 1e-14), (0.3, 1e-14), (-0.3, 1e-14), (0.5, 1e-9)):
-        want = cmath.rect(*ch.renormalized_polar(spec, kap, s, theta))
+    for s, bound in _disc_points(spec.min_value()):
+        want = cmath.exp(ch.renormalized_log(spec, kap, s, theta))
         assert abs(_series_value(coeffs, s) - want) <= bound
 
 
@@ -282,10 +293,8 @@ def test_plain_series_sums_to_the_analytic_product():
     # with summable reciprocals the plain series is the whole product,
     # which is the renormalized limit at constant part b1 and theta = 0
     spec = rn.ExplicitWithTail([0.7, 2.5], 1.0, 2.0)
-    mu = spec.min_value()
     loop_values = _loop_values(spec, 30)
     coeffs = dg.series_coefficients("phi", 30, loop_values)
-    for x, bound in ((0.1, 1e-14), (0.3, 1e-14), (-0.3, 1e-14), (0.5, 1e-9)):
-        s = x * mu
-        want = cmath.rect(*ch.renormalized_polar(spec, loop_values[0], s))
+    for s, bound in _disc_points(spec.min_value()):
+        want = cmath.exp(ch.renormalized_log(spec, loop_values[0], s))
         assert abs(_series_value(coeffs, s) - want) <= bound

@@ -126,8 +126,7 @@ def test_renormalized_matches_complex_transform_route():
     val = pt.renormalized(HARMONIC, GAMMA, 1.0, 0.0, TIGHT)
 
     def phi(s):
-        mod, phase = ch.renormalized_polar(HARMONIC, GAMMA, s)
-        return mod * np.cos(phase) + 1j * (mod * np.sin(phase))
+        return np.exp(ch.renormalized_log(HARMONIC, GAMMA, s))
 
     via_transform = pt.transform(phi, 1.0, TIGHT, freq_hint=0.3)
     assert abs(via_transform.imag) < 1e-10

@@ -22,13 +22,6 @@ HARMONIC = rn.PowerLaw(1.0, 1.0)
 HEADED = rn.ExplicitWithTail([0.7, 2.5], 4.0, 1.0)
 
 
-def _values(polar):
-    """The complex values of a characteristic function from its
-    modulus and phase arrays."""
-    mod, phase = polar
-    return mod * np.cos(phase) + 1j * (mod * np.sin(phase))
-
-
 def _scipy_parts(f, a, b, tol, limit):
     """scipy's quad of the real and imaginary parts of an array integrand."""
     with warnings.catch_warnings():
@@ -49,11 +42,11 @@ def test_transform_integrands_match_scipy(tol):
     sharp = rn.DeformedSpectrum(HARMONIC, rn.SharpCutoff(1.0), 1e5)
     expo = rn.DeformedSpectrum(HEADED, rn.Exponential(), 60.0)
     phis = [
-        lambda s: _values(ch.finite_polar(HARMONIC, s, 1000)),
-        lambda s: _values(ch.flow_polar(sharp, s, 0.2)),
-        lambda s: _values(ch.deformed_polar(sharp, s)),
-        lambda s: _values(ch.renormalized_polar(HEADED, 0.3, s, 0.1)),
-        lambda s: _values(ch.flow_polar(expo, s, 0.0)),
+        lambda s: np.exp(ch.finite_log(HARMONIC, s, 1000)),
+        lambda s: np.exp(ch.flow_log(sharp, s, 0.2)),
+        lambda s: np.exp(ch.deformed_log(sharp, s)),
+        lambda s: np.exp(ch.renormalized_log(HEADED, 0.3, s, 0.1)),
+        lambda s: np.exp(ch.flow_log(expo, s, 0.0)),
     ]
     for phi in phis:
         def f(s, phi=phi):
@@ -153,7 +146,7 @@ def test_factor_oracle_is_one_complex_pass_per_factor(monkeypatch):
     spec = rn.ExplicitWithTail([0.9], 1.7, 1.3)
     got = ch.finite_by_quadrature(spec, 2.3, 5, rn.QuadratureConfig(abs_tol=1e-11, rel_tol=1e-11))
     assert len(runs) == 5
-    assert abs(got - cmath.rect(*ch.finite_polar(spec, 2.3, 5))) <= 1e-10
+    assert abs(got - cmath.exp(ch.finite_log(spec, 2.3, 5))) <= 1e-10
 
 
 def test_runtime_imports_no_scipy_integrate():
