@@ -84,25 +84,28 @@ def _log_terms(first: int):
     """The summand log(1 + w), w = -i s/beta, less w for first = 2, as
     the rows 2 Re and Im of a spectral sum, and its tail series
     -sum_{m>=first} (i s/b)**m (b/beta)**m / m.  On the strip Im s >
-    -beta, Re(1 + w) > 0: the real part is log1p(|1 + w|**2 - 1) / 2,
-    the imaginary part -arctan(Re s / (beta + Im s)), whose Im s terms
-    a real s leaves out.
+    -beta, 1 + Re w > 0: 2 Re is log1p(|1 + w|**2 - 1), or log |1 +
+    w|**2 where Re w < -1/2, and Im is arctan(Im w / (1 + Re w)).
     """
 
     def rows(s, beta):
         x = -s.real / beta  # Im w
-        out = np.empty((2,) + x.shape)
-        if np.iscomplexobj(s):
-            y = s.imag / beta  # Re w
-            np.log1p(x * x + y * (2.0 + y), out=out[0])
-            np.arctan(x / (1.0 + y), out=out[1])
-            if first == 2:
-                out[0] -= 2.0 * y
-        else:
-            np.log1p(x * x, out=out[0])
-            np.arctan(x, out=out[1])
+        y = s.imag / beta  # Re w
+        re, im = out = np.empty((2,) + x.shape)
+        # in place: a temporary the size of the block costs as much as a pass
+        np.multiply(np.add(y, 2.0, out=re), y, out=re)
+        re += np.multiply(x, x, out=im)
+        np.log1p(re, out=re)
+        np.add(y, 1.0, out=im)
+        if y.min(initial=0.0) < -0.5:
+            # there beta + Im s is exact, and log |1 + w|**2 does not cancel
+            edge = y < -0.5
+            im[edge] = ((beta + s.imag) / beta)[edge]
+            re[edge] = np.log(im[edge] ** 2 + x[edge] ** 2)
+        np.arctan(np.divide(x, im, out=im), out=im)
         if first == 2:
-            out[1] -= x
+            re -= np.multiply(y, 2.0, out=y)
+            im -= x
         return out
 
     def series(s, b, terms):

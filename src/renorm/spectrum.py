@@ -178,8 +178,7 @@ class Spectrum:
         thresh, at every node of s: an array of shape (rows,) +
         np.shape(s), a scalar s being a batch of one node.  Nodes may be
         complex, with Im s > -min_value() (a bound for deformed spectra
-        too); f and ``series`` see them as such only if one is off the
-        real axis, so a complex s on the axis sums as its real part.
+        too).
 
         ``f`` maps a column of nodes and a block of elements to an array
         of shape (rows, nodes, len(block)), one row per summand, so
@@ -223,8 +222,6 @@ class Spectrum:
             if below.size:
                 raise ValueError(f"argument s = {below[0]} is on or below the branch "
                                  f"points: need Im s > -mu = {-self.min_value():g}")
-            if not nodes.imag.any():
-                nodes = nodes.real.copy()
         runs = self._runs(np.abs(nodes), upper, exp_cutoff)
         parts = [self._run(f, series, nodes[run], upper, thresh, exp_cutoff) for run in runs]
         total = np.empty((parts[0].shape[0], len(nodes)))

@@ -384,6 +384,13 @@ def test_sharp_flow_with_masked_head():
     r = rn.singular_part(d)
     manual = math.exp(-0.25 * log_mod) * cmath.exp(0.5j * (phase - s * (r + theta)))
     assert abs(cmath.exp(ch.flow_log(d, s, theta)) - manual) < 1e-13
+    # a cutoff below every element masks whole blocks: an empty product,
+    # at real and complex s alike
+    d = rn.DeformedSpectrum(spec, SHARP, 1.5)
+    r = rn.singular_part(d)
+    for x in (s, 0.4 - 0.9j, np.array([s, 2.0 + 3.0j])):
+        assert np.all(ch.deformed_log(d, x) == 0.0)
+        assert np.array_equal(ch.flow_log(d, x, theta), -0.5j * x * (r + theta))
 
 
 def test_renormalized_limit_term_budget():
@@ -439,7 +446,8 @@ def test_complex_arguments_match_mpmath_sums():
     for spec in (HARMONIC, rn.ExplicitWithTail([0.7, 2.5], 1.0, 1.0)):
         mu = spec.min_value()
         s = np.array([0.05 + 0.03j, 0.7 - 0.5j * mu, -2.5 + 0.3j, 12.0 - 0.4j * mu,
-                      -40.0 + 50.0j, 150.0 + 7.0j, 299.0 - 0.5j * mu])
+                      -40.0 + 50.0j, 150.0 + 7.0j, 299.0 - 0.5j * mu,
+                      -0.99j * mu, 0.02 - 0.999j * mu, -3.0 - 0.9j * mu])
         sharp = rn.DeformedSpectrum(spec, SHARP, 1e3)
         expo = rn.DeformedSpectrum(spec, rn.Exponential(), 5.0)
         quantities = {
