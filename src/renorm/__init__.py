@@ -28,7 +28,7 @@ from .diagrams import (
     wick_moment_by_pairings,
 )
 from .partition import McConfig
-from .quadrature import OscillationBudgetExceeded, QuadratureConfig, QuadratureFailure
+from .quadrature import QuadratureConfig, QuadratureFailure
 from .regulator import (
     DeformedSpectrum,
     Exponential,
@@ -70,7 +70,6 @@ __all__ = [
     "regulator_from_dict",
     "QuadratureConfig",
     "QuadratureFailure",
-    "OscillationBudgetExceeded",
     "McConfig",
     "INFINITE",
     "InfiniteCoefficient",

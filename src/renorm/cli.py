@@ -2,7 +2,7 @@
 
 Emits data tables only (CSV or JSON); plotting belongs to external
 tools.  Exit codes: 0 success, 1 verification failure, 2 configuration
-error, 3 numeric failure (quadrature, oscillation or term budget).
+error, 3 numeric failure (quadrature tolerance or term budget).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from . import partition as pt
 from . import tables
 from . import verify as verify_mod
 from .config import MAX_ORDER, ConfigError, RunConfig
-from .quadrature import OscillationBudgetExceeded, QuadratureFailure
+from .quadrature import QuadratureFailure
 from .regulator import (
     DeformedSpectrum,
     NoConvergence,
@@ -41,7 +41,7 @@ class _NumericFailure(click.ClickException):
 
 
 _CONFIG_ERRORS = (ConfigError, DivergentSum, UnsupportedRegulatorTail, ValueError)
-_NUMERIC_ERRORS = (QuadratureFailure, OscillationBudgetExceeded, NoConvergence)
+_NUMERIC_ERRORS = (QuadratureFailure, NoConvergence)
 
 
 def _guard(fn):
@@ -232,18 +232,9 @@ def z(ctx):
             est, se = pt.mc_estimate(spec, cfg.lam, n, cfg.mc)
         return (n, est, se)
 
-    thetas = cfg.theta_grid.linear()
-    # every node budget before any transform, so that an oscillation
-    # failure costs no integration
-    for n in n_values:
-        with _stage("z_decay", n=n):
-            pt.finite_window(spec, cfg.lam, n, cfg.quadrature)
-    for theta in thetas:
-        with _stage("z_theta", theta=theta):
-            pt.renormalized_window(spec, kap, cfg.lam, theta, cfg.quadrature)
     # every row first, so that a failure leaves no table behind
     decay = [decay_row(n) for n in n_values]
-    profile = [theta_row(theta) for theta in thetas]
+    profile = [theta_row(theta) for theta in cfg.theta_grid.linear()]
     mc_ns = [n for n in n_values if n <= 64] or [4]
     mc_rows = [mc_row(n) for n in mc_ns]
     path1 = _emit(cfg, "z_decay", ["n", "z_n", "bound"], decay)
@@ -265,16 +256,6 @@ def flow(ctx):
     kap = _renormalized_constant(cfg)
     lam, q = cfg.lam, cfg.quadrature
     lam_cuts = cfg.lambda_grid.geometric()
-    # every node budget before any transform, so that an oscillation
-    # failure costs no integration
-    with _stage("z_renormalized"):
-        pt.renormalized_window(spec, kap, lam, theta, q)
-    for lam_cut in lam_cuts:
-        d = DeformedSpectrum(spec, reg, lam_cut)
-        with _stage("z_flow", Lambda=lam_cut):
-            pt.flow_window(d, lam, theta, q)
-        with _stage("z_regularized", Lambda=lam_cut):
-            pt.regularized_window(d, lam, q)
     with _stage("phi_renormalized", s=s):
         phi_ref = cmath.exp(ch.renormalized_log(spec, kap, s, theta))
     with _stage("z_renormalized"):

@@ -8,6 +8,12 @@ of the characteristic product.  This module evaluates that transform
 for finite sections, for the renormalized limit, and for the
 regularized flow, plus a direct Monte Carlo oracle for the defining
 multidimensional integral.
+
+The kernel is entire and every product is analytic on the strip Im s >
+-beta_min, so each transform runs along a line Im s = y near its
+saddle, where the integrand stops oscillating (de Bruijn, *Asymptotic
+Methods in Analysis*; Trefethen & Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Review 56, 2014).
 """
 
 from __future__ import annotations
@@ -18,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import characteristic
-from .quadrature import (
-    OscillationBudgetExceeded,
-    QuadratureConfig,
-    QuadratureFailure,
-    quad_checked,
-)
+from .quadrature import QuadratureConfig, QuadratureFailure, quad_checked
 from .regulator import DeformedSpectrum, singular_part
 from .spectrum import Spectrum
 
@@ -31,18 +32,16 @@ __all__ = [
     "McConfig",
     "transform",
     "finite",
-    "finite_window",
     "finite_bound",
     "mc_estimate",
     "renormalized",
-    "renormalized_window",
     "flow",
-    "flow_window",
     "regularized",
-    "regularized_window",
 ]
 
 _MC_CHUNK = 1 << 15
+# Heights of the grid that locates each transform's saddle line
+_SADDLE_NODES = 33
 
 
 @dataclass(frozen=True)
@@ -69,52 +68,36 @@ def _half_width(lam: float, q: QuadratureConfig) -> float:
     return q.half_width_sigmas * math.sqrt(2.0 * lam)
 
 
-def _window_and_limit(lam: float, q: QuadratureConfig, freq_hint: float):
-    """Integration window and subdivision budget for the kernel integral.
+def transform(phi, lam: float, q: QuadratureConfig | None = None, shift: float = 0.0) -> complex:
+    """Gaussian-kernel transform of a complex-valued function of s,
+    integrated along the line Im s = ``shift`` (the real axis by
+    default).
 
-    ``freq_hint`` is the dominant phase slope of the integrand in
-    radians per unit s; the node estimate scales with the cycle count
-    across the window, and the budget check fails loudly rather than
-    alias the oscillation.  Cheap: the ``*_window`` functions give each
-    transform's budget, so that callers can check every point of a grid
-    before integrating any.
-    """
-    w = _half_width(lam, q)
-    cycles = abs(freq_hint) * 2.0 * w / (2.0 * math.pi)
-    est_nodes = int(21 * max(40.0, 8.0 * cycles))
-    if est_nodes > q.max_nodes:
-        raise OscillationBudgetExceeded(
-            f"integrand needs ~{est_nodes} nodes across the window "
-            f"(budget {q.max_nodes}); raise max_nodes or reduce the cycle count",
-            required=est_nodes,
-        )
-    max_limit = max(64, q.max_nodes // 21)
-    return w, max_limit
-
-
-def transform(phi, lam: float, q: QuadratureConfig | None = None, freq_hint: float = 0.0) -> complex:
-    """Gaussian-kernel transform of a complex-valued function of s.
-
-    Integrates kernel(s) * phi(s) over the truncated window in one
-    complex adaptive pass; the kernel is the centered Gaussian density
-    with variance 2*lam.  ``phi`` maps an array of nodes to an array of
-    values (or to one value for all of them).
+    The kernel is the centered Gaussian density with variance 2*lam,
+    continued to the line.  ``phi`` maps an array of nodes to an array
+    of values (or to one value for all of them); a shifted line gives
+    the real-axis value when phi is analytic between the two.
     """
     q = q or QuadratureConfig()
-    return _transform(phi, lam, q, _window_and_limit(lam, q, freq_hint))
+    return _line_integral(lambda s: np.exp(-s * s / (4.0 * lam)) * phi(s), lam, q, shift)
 
 
-def _transform(phi, lam: float, q: QuadratureConfig, window) -> complex:
-    """:func:`transform` over a window and budget already checked."""
-    w, max_limit = window
+def _line_integral(f, lam: float, q: QuadratureConfig, y: float) -> complex:
+    """norm * integral of f(x + i y) over |x| <= w, in one complex
+    adaptive pass whose first round has one qk21 panel per two kernel
+    widths."""
+    w = _half_width(lam, q)
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam)
+    max_limit = max(64, q.max_nodes // 21)
+    panels = min(math.ceil(q.half_width_sigmas), max_limit)
     val, _ = quad_checked(
-        lambda s: norm * np.exp(-s * s / (4.0 * lam)) * phi(s),
+        lambda x: norm * f(x + 1j * y),
         -w,
         w,
         abs_tol=q.abs_tol,
         rel_tol=q.rel_tol,
         max_limit=max_limit,
+        points=np.linspace(-w, w, panels + 1)[1:-1],
     )
     return complex(val)
 
@@ -129,28 +112,54 @@ def _require_real(val: complex, q: QuadratureConfig, what: str) -> float:
     return val.real
 
 
-def finite(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None) -> float:
-    """Partition value of the n-factor section at coupling lam.
+def _saddle_transform(log_phi, lam: float, q: QuadratureConfig | None, y_max: float, mu: float,
+                      what: str) -> float:
+    """Transform of exp(log_phi) along its saddle line, for a product
+    analytic on Im s > -mu.
 
-    The integrand oscillates with phase slope about half the partial
-    reciprocal sum, so the node budget scales with that frequency.
+    On the line Im s = y the integrand's modulus is at most e^{g(y)}
+    times the kernel density, g(y) = y^2/(4 lam) + Re log_phi(i y),
+    because |1 - i s/beta| >= 1 + y/beta there; g is convex with g(0) =
+    0, and y_max bounds its minimum, the saddle, from above.  The line
+    runs at the least g over one batched log_phi call on a grid of
+    heights over [-mu/2, max(0, y_max)], clear of the branch points,
+    and 0, so that e^{g} <= 1.  Near the saddle the integrand stops
+    oscillating.  The quadrature runs on the integrand divided by
+    e^{g}, so the value gets its tolerances relative to that bound, and
+    a bound that underflows gives 0.0 without integrating.
     """
+    q = q or QuadratureConfig()
+    _half_width(lam, q)  # refuses a nonpositive coupling before any sum
+    # even in log(1 + y/mu): the engine's direct head grows with |s|/mu,
+    # so few heights far above mu keep a loose y_max cheap
+    u = np.linspace(-math.log(2.0), math.log1p(max(0.0, y_max) / mu), _SADDLE_NODES - 1)
+    heights = np.append(mu * np.expm1(u), 0.0)
+    g = heights * heights / (4.0 * lam) + log_phi(1j * heights).real
+    k = int(np.argmin(g))
+    bound = math.exp(g[k])
+    if bound == 0.0:
+        return 0.0
+    val = _line_integral(
+        lambda s: np.exp(log_phi(s) - s * s / (4.0 * lam) - g[k]), lam, q, heights[k]
+    )
+    # the value is an expectation of a positive variable: a negative
+    # quadrature value is within its error of 0, and 0 is nearer the truth
+    return max(0.0, bound * _require_real(val, q, what))
+
+
+def finite(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None) -> float:
+    """Partition value of the n-factor section at coupling lam, on the
+    saddle line below Im s = lam times the partial reciprocal sum."""
     if n < 1:
         raise ValueError("need at least one factor")
-    q = q or QuadratureConfig()
-    window = finite_window(spec, lam, n, q)
-    val = _transform(lambda s: np.exp(characteristic.finite_log(spec, s, n)), lam, q, window)
-    return _require_real(val, q, "finite partition value")
-
-
-def finite_window(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None):
-    """Integration window and subdivision budget of :func:`finite`,
-    whose integrand's phase slope is half the partial reciprocal sum.
-
-    Raises OscillationBudgetExceeded as :func:`finite` would, before
-    any integration.
-    """
-    return _window_and_limit(lam, q or QuadratureConfig(), 0.5 * spec.partial_inverse_power(1, n))
+    return _saddle_transform(
+        lambda s: characteristic.finite_log(spec, s, n),
+        lam,
+        q,
+        lam * spec.partial_inverse_power(1, n),
+        spec.min_value(),
+        "finite partition value",
+    )
 
 
 def finite_bound(spec: Spectrum, lam: float, n: int, tol: float = 1e-10) -> float:
@@ -211,52 +220,16 @@ def renormalized(
     theta: float = 0.0,
     q: QuadratureConfig | None = None,
 ) -> float:
-    """Partition value of the renormalized limit functional.
-
-    Real by construction: the even/odd split of the limit functional
-    under the symmetric kernel leaves
-
-        (1/sqrt(pi lam)) * integral_0^inf kernel-weight * f(s)
-                            * cos(s theta / 2 + phase(s) / 2) ds,
-
-    which is evaluated as the full-window transform of the even real
-    integrand.
-    """
-    q = q or QuadratureConfig()
-    w, max_limit = renormalized_window(spec, const_part, lam, theta, q)
-    norm = 1.0 / math.sqrt(4.0 * math.pi * lam)
-
-    def integrand(s):
-        log_phi = characteristic.renormalized_log(spec, const_part, s, theta)
-        return norm * np.exp(-s * s / (4.0 * lam) + log_phi.real) * np.cos(log_phi.imag)
-
-    val, _ = quad_checked(
-        integrand, -w, w, abs_tol=q.abs_tol, rel_tol=q.rel_tol, max_limit=max_limit
+    """Partition value of the renormalized limit functional, on the
+    saddle line below Im s = lam (const_part - theta)."""
+    return _saddle_transform(
+        lambda s: characteristic.renormalized_log(spec, const_part, s, theta),
+        lam,
+        q,
+        lam * (const_part - theta),
+        spec.min_value(),
+        "renormalized partition value",
     )
-    return val
-
-
-def renormalized_window(
-    spec: Spectrum,
-    const_part: float,
-    lam: float,
-    theta: float = 0.0,
-    q: QuadratureConfig | None = None,
-):
-    """Integration window and subdivision budget of :func:`renormalized`.
-
-    The integrand's phase slope over the window is half of |theta| +
-    |const_part| plus the slope of the odd phase term, sum_j (1/b_j)
-    s^2/(b_j^2+s^2), which is at most sum_j min(1/b_j, w^2/b_j^3).
-    Raises OscillationBudgetExceeded as :func:`renormalized` would,
-    before any integration.
-    """
-    q = q or QuadratureConfig()
-    w = _half_width(lam, q)
-    split = max(spec.tail_start, int((w / spec.tail_c) ** (1.0 / spec.tail_p)) + 1)
-    tail3 = spec.inverse_power_sum(3) - spec.partial_inverse_power(3, split)
-    slope = spec.partial_inverse_power(1, split) + w * w * tail3
-    return _window_and_limit(lam, q, 0.5 * (abs(theta) + abs(const_part) + slope))
 
 
 def flow(
@@ -267,47 +240,36 @@ def flow(
 ) -> float:
     """Partition value of the renormalized flow at a finite cutoff.
 
-    Transform of the deformed product times the counterterm phase; the
-    counterterm cancels the fast oscillation, so the node budget is set
-    by the residual frequency only.  Converges to :func:`renormalized`
-    as the cutoff is removed.
+    Transform of the deformed product times the counterterm phase, on
+    the saddle line below Im s = lam times the residual reciprocal sum,
+    inverse_sum - singular_part - theta.  Converges to
+    :func:`renormalized` as the cutoff is removed.
     """
-    q = q or QuadratureConfig()
-    window = flow_window(d, lam, theta, q)
-    val = _transform(lambda s: np.exp(characteristic.flow_log(d, s, theta)), lam, q, window)
-    return _require_real(val, q, "flow partition value")
-
-
-def flow_window(
-    d: DeformedSpectrum, lam: float, theta: float = 0.0, q: QuadratureConfig | None = None
-):
-    """Integration window and subdivision budget of :func:`flow`: the
-    counterterm leaves a phase slope of half the residual reciprocal
-    sum, plus 1/2.  Raises OscillationBudgetExceeded as :func:`flow`
-    would, before any integration.
-    """
-    freq = 0.5 * abs(d.inverse_sum() - singular_part(d) - theta) + 0.5
-    return _window_and_limit(lam, q or QuadratureConfig(), freq)
+    return _saddle_transform(
+        lambda s: characteristic.flow_log(d, s, theta),
+        lam,
+        q,
+        lam * (d.inverse_sum() - singular_part(d) - theta),
+        d.base.min_value(),
+        "flow partition value",
+    )
 
 
 def regularized(
     d: DeformedSpectrum, lam: float, q: QuadratureConfig | None = None
 ) -> float:
-    """Partition value of the raw deformed product, with no counterterm.
+    """Partition value of the raw deformed product, with no counterterm,
+    on the saddle line below Im s = lam times the deformed reciprocal
+    sum.
 
     Decays toward zero as the cutoff grows whenever the undeformed
     reciprocal sum diverges; emitted for comparison against the flow.
     """
-    q = q or QuadratureConfig()
-    window = regularized_window(d, lam, q)
-    val = _transform(lambda s: np.exp(characteristic.deformed_log(d, s)), lam, q, window)
-    return _require_real(val, q, "regularized partition value")
-
-
-def regularized_window(d: DeformedSpectrum, lam: float, q: QuadratureConfig | None = None):
-    """Integration window and subdivision budget of :func:`regularized`,
-    whose integrand's phase slope is half the deformed reciprocal sum.
-    Raises OscillationBudgetExceeded as :func:`regularized` would,
-    before any integration.
-    """
-    return _window_and_limit(lam, q or QuadratureConfig(), 0.5 * d.inverse_sum())
+    return _saddle_transform(
+        lambda s: characteristic.deformed_log(d, s),
+        lam,
+        q,
+        lam * d.inverse_sum(),
+        d.base.min_value(),
+        "regularized partition value",
+    )

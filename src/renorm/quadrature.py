@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "QuadratureConfig",
     "QuadratureFailure",
-    "OscillationBudgetExceeded",
     "quad_checked",
 ]
 
@@ -60,25 +59,15 @@ class QuadratureFailure(Exception):
     """An adaptive integral missed its requested tolerance."""
 
 
-class OscillationBudgetExceeded(Exception):
-    """The integrand oscillates faster than the node budget allows.
-
-    Carries the estimated node count that would have been required, so
-    callers can either raise the budget or shrink the problem.
-    """
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Controls for the 1-D kernel integrals.
 
     ``half_width_sigmas`` is the integration window in units of the
     Gaussian kernel width; the default 8 keeps the discarded mass near
-    exp(-32), well below the default tolerances.
+    exp(-32) of the saddle bound, well below the default tolerances.
+    A kernel transform's adaptive pass starts from ceil(half_width_sigmas)
+    panels, one per two kernel widths.
     """
 
     half_width_sigmas: float = 8.0
@@ -128,26 +117,30 @@ def _meets(val, err: float, abs_tol: float, rel_tol: float) -> bool:
     return err <= max(abs_tol, rel_tol * abs(val)) * 1.01 + 1e-300
 
 
-def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int, full_output=1):
+def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int, points=None,
+         full_output=1):
     """Globally adaptive qk21 integral of f over [a, b].
 
     ``f`` maps an array of nodes to an array of real or complex values
-    (or to one value for all of them).  Each round bisects the
-    subintervals whose error is above their length's share of the
-    tolerance, worst first and only as many as it takes for the others'
-    errors to fit the tolerance or the subintervals to reach ``limit``,
-    and evaluates f once on the 21 nodes of each new half.  Stops when
-    the summed error meets max(epsabs, epsrel |value|), at the budget,
-    on a non-finite error, or when no subinterval can be halved further.
+    (or to one value for all of them).  The first round evaluates qk21
+    on each panel between a, the ascending break ``points`` inside (a,
+    b), and b.  Each later round bisects the subintervals whose error
+    is above their length's share of the tolerance, worst first and
+    only as many as it takes for the others' errors to fit the
+    tolerance or the subintervals to reach ``limit``, and evaluates f
+    once on the 21 nodes of each new half.  Stops when the summed error
+    meets max(epsabs, epsrel |value|), at the budget, on a non-finite
+    error, or when no subinterval can be halved further.
 
     Returns (value, error, info), info a dict with ``neval`` (integrand
     evaluations) and ``last`` (subintervals): the call and return shape
     of ``scipy.integrate.quad`` with ``full_output=1``.  ``full_output``
     is accepted for that call shape only; the info is always returned.
     """
-    lo, hi = np.array([float(a)]), np.array([float(b)])
+    edges = np.concatenate(([a], [] if points is None else points, [b])).astype(float)
+    lo, hi = edges[:-1], edges[1:]
     vals, errs = _qk21(f, lo, hi)
-    neval = 21
+    neval = 21 * len(lo)
     while True:
         val, err = vals.sum(), float(errs.sum())
         if _meets(val, err, epsabs, epsrel) or len(lo) >= limit or not math.isfinite(err):
@@ -179,16 +172,17 @@ def quad(f, a: float, b: float, *, epsabs: float, epsrel: float, limit: int, ful
 integrate = SimpleNamespace(quad=quad)
 
 
-def quad_checked(f, a, b, *, abs_tol, rel_tol, max_limit):
+def quad_checked(f, a, b, *, abs_tol, rel_tol, max_limit, points=None):
     """One adaptive pass of :func:`quad` within ``max_limit``
-    subintervals that fails loudly unless its error estimate meets the
-    tolerance.
+    subintervals, from the panels that the break ``points`` cut, that
+    fails loudly unless its error estimate meets the tolerance.
 
     ``f`` takes and returns arrays of nodes, real or complex.  Returns
     (value, reported_error).
     """
+    panels = {} if points is None else {"points": points}
     val, err, _ = integrate.quad(
-        f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=max_limit, full_output=1
+        f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=max_limit, full_output=1, **panels
     )
     if not _meets(val, err, abs_tol, rel_tol):
         raise QuadratureFailure(

@@ -141,6 +141,30 @@ def test_tracing_seam_has_quad_call_shape(monkeypatch):
     assert runs == [(["epsabs", "epsrel", "full_output", "limit"], 21)]
 
 
+def test_break_points_start_one_panel_each():
+    # the first round runs qk21 once per panel; a kink at a break point
+    # costs no refinement, and the value is QUADPACK's QAGP
+    def f(x):
+        return np.abs(x - 0.25) + np.abs(x - 0.5)
+
+    val, err, info = qd.quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=50,
+                             points=[0.25, 0.5], full_output=1)
+    assert info == {"neval": 63, "last": 3}
+    ref = integrate.quad(lambda x: float(f(np.array([x]))[0]), 0.0, 1.0, points=[0.25, 0.5])[0]
+    assert abs(val - ref) <= 1e-15
+
+
+def test_partition_value_is_one_panelled_pass(monkeypatch):
+    # one saddle-line quadrature per partition value, through the
+    # tracing seam, from one qk21 panel per two kernel widths
+    runs = _record_quad_runs(monkeypatch)
+    pt.finite(HARMONIC, 1.0, 100)
+    assert len(runs) == 1
+    keywords, neval = runs[0]
+    assert "points" in keywords
+    assert neval >= 21 * 8 and neval % 21 == 0
+
+
 def test_factor_oracle_is_one_complex_pass_per_factor(monkeypatch):
     runs = _record_quad_runs(monkeypatch)
     spec = rn.ExplicitWithTail([0.9], 1.7, 1.3)
