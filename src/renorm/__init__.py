@@ -34,7 +34,6 @@ from .regulator import (
     Exponential,
     NoConvergence,
     SharpCutoff,
-    UnsupportedRegulatorTail,
     constant_part,
     regulator_from_dict,
     regulator_to_dict,
@@ -64,7 +63,6 @@ __all__ = [
     "DeformedSpectrum",
     "singular_part",
     "constant_part",
-    "UnsupportedRegulatorTail",
     "NoConvergence",
     "regulator_to_dict",
     "regulator_from_dict",

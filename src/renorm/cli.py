@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import dataclasses
 import functools
 from pathlib import Path
 
@@ -25,9 +26,9 @@ from .quadrature import QuadratureFailure
 from .regulator import (
     DeformedSpectrum,
     NoConvergence,
-    UnsupportedRegulatorTail,
     constant_part,
     regulator_to_dict,
+    singular_description,
 )
 from .spectrum import DivergentSum, spectrum_to_dict
 
@@ -40,7 +41,7 @@ class _NumericFailure(click.ClickException):
     exit_code = 3
 
 
-_CONFIG_ERRORS = (ConfigError, DivergentSum, UnsupportedRegulatorTail, ValueError)
+_CONFIG_ERRORS = (ConfigError, DivergentSum, ValueError)
 _NUMERIC_ERRORS = (QuadratureFailure, NoConvergence)
 
 
@@ -76,11 +77,11 @@ def _load(ctx: click.Context) -> RunConfig:
     opts = ctx.obj
     cfg = RunConfig.from_file(opts["config"]) if opts["config"] else RunConfig.from_dict({})
     if opts["out"] is not None:
-        cfg = cfg.replace(out=opts["out"])
+        cfg = dataclasses.replace(cfg, out=opts["out"])
     if opts["fmt"] is not None:
-        cfg = cfg.replace(fmt=opts["fmt"])
+        cfg = dataclasses.replace(cfg, fmt=opts["fmt"])
     if opts["seed"] is not None:
-        cfg = cfg.replace(mc=pt.McConfig(samples=cfg.mc.samples, seed=opts["seed"]))
+        cfg = dataclasses.replace(cfg, mc=pt.McConfig(samples=cfg.mc.samples, seed=opts["seed"]))
     return cfg
 
 
@@ -111,22 +112,6 @@ def _renormalized_constant(cfg: RunConfig) -> float:
         )
     with _stage("kappa"):
         return constant_part(spec, cfg.regulator, tol=cfg.tol)
-
-
-def _singular_description(cfg: RunConfig) -> str:
-    p, c = cfg.spectrum.tail_p, cfg.spectrum.tail_c
-    if p > 1.0:
-        return "0 (reciprocal sum already converges)"
-    reg = regulator_to_dict(cfg.regulator)
-    if p == 1.0:
-        return f"ln(L) / {c:.17g}"
-    if reg["kind"] == "sharp_cutoff":
-        a = reg["a"]
-        return (
-            f"((a^2 L / c)^(1/p))^(1-p) / (c (1-p)) with "
-            f"a={a:.17g}; c={c:.17g}; p={p:.17g}"
-        )
-    return "unsupported profile/tail combination"
 
 
 @click.group()
@@ -161,12 +146,8 @@ def spectrum(ctx):
         rows.append(
             (f"b{k}", spec.inverse_power_sum(k, cfg.tol) if spec.converges(k) else "divergent")
         )
-    rows.append(("singular_part", _singular_description(cfg)))
-    try:
-        kap = constant_part(spec, cfg.regulator, tol=cfg.tol)
-        rows.append(("kappa", kap))
-    except UnsupportedRegulatorTail:
-        rows.append(("kappa", "unavailable for this profile/tail"))
+    rows.append(("singular_part", singular_description(spec)))
+    rows.append(("kappa", constant_part(spec, cfg.regulator, tol=cfg.tol)))
     for key, val in rows:
         click.echo(f"{key}: {tables.format_value(val)}")
     path = _emit(cfg, "spectrum_report", ["key", "value"], rows)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 from .partition import McConfig
 from .quadrature import QuadratureConfig
-from .regulator import Regulator, regulator_from_dict, regulator_to_dict
-from .spectrum import Spectrum, spectrum_from_dict, spectrum_to_dict
+from .regulator import Regulator, regulator_from_dict
+from .spectrum import Spectrum, spectrum_from_dict
 
 __all__ = ["MAX_ORDER", "ConfigError", "GridSpec", "RunConfig"]
 
@@ -164,40 +164,3 @@ class RunConfig:
         except json.JSONDecodeError as e:
             raise ConfigError(f"config parse error: {e}") from None
         return cls.from_dict(raw)
-
-    def replace(self, **kw) -> "RunConfig":
-        from dataclasses import replace
-
-        return replace(self, **kw)
-
-    def to_dict(self) -> dict:
-        return {
-            "spectrum": spectrum_to_dict(self.spectrum),
-            "regulator": regulator_to_dict(self.regulator),
-            "theta": self.theta,
-            "lambda": self.lam,
-            "s": self.s,
-            "order": self.order,
-            "tol": self.tol,
-            "s_grid": {"min": self.s_grid.lo, "max": self.s_grid.hi, "count": self.s_grid.count},
-            "lambda_grid": {
-                "min": self.lambda_grid.lo,
-                "max": self.lambda_grid.hi,
-                "count": self.lambda_grid.count,
-            },
-            "n_grid": {"min": self.n_grid.lo, "max": self.n_grid.hi, "count": self.n_grid.count},
-            "theta_grid": {
-                "min": self.theta_grid.lo,
-                "max": self.theta_grid.hi,
-                "count": self.theta_grid.count,
-            },
-            "quadrature": {
-                "half_width_sigmas": self.quadrature.half_width_sigmas,
-                "max_nodes": self.quadrature.max_nodes,
-                "abs_tol": self.quadrature.abs_tol,
-                "rel_tol": self.quadrature.rel_tol,
-            },
-            "mc": {"samples": self.mc.samples, "seed": self.mc.seed},
-            "out": self.out,
-            "format": self.fmt,
-        }

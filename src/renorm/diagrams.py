@@ -188,9 +188,6 @@ class MomentPolynomial:
             }
         )
 
-    def max_loop_index(self) -> int:
-        return max((len(loops) for _, loops in self.terms), default=0)
-
     def evaluate(self, loop_values, shift=0) -> Fraction:
         """Exact value with numeric loop values and shift.
 

@@ -11,6 +11,19 @@ a constant (the constant part) plus a vanishing remainder.  The split
 is normalized so the singular part carries no additive constant: all
 profile- and scale-dependent constants live in the constant part.
 
+Both pieces come from one Mellin integral (Flajolet, Gourdon & Dumas
+1995).  With D(z) = sum_j beta_j**-z and the profile's Mellin data
+
+    G(w) = 2 int_0^inf rho(u) u**(2w-1) du,
+
+the deformed sum is (1/2 pi i) int G(w) L**w D(1+w) dw.  The singular
+part is the residue at D's pole w0 = 1/p - 1 of a tail c j**p, and the
+constant part the residue at G's simple pole w = 0; for p = 1 the two
+poles meet, and the double pole gives ln(L) / c and the constant
+together.  So every profile enters only through G and g0, the finite
+part of G at 0: a sharp cutoff of width a has G(w) = a**(2w)/w and g0 =
+2 ln a, the exponential profile G(w) = 2 Gamma(2w) and g0 = -2 gamma.
+
 The deformed sums themselves are exact to rounding for both profiles:
 a direct head, then a closed-form tail, the surviving power-law
 stretch of a sharp cutoff or the convergent Mellin series of the
@@ -29,20 +42,16 @@ from scipy import special
 from .spectrum import NoConvergence, Spectrum, _power
 
 __all__ = [
-    "UnsupportedRegulatorTail",
     "NoConvergence",
     "SharpCutoff",
     "Exponential",
     "DeformedSpectrum",
     "singular_part",
+    "singular_description",
     "constant_part",
     "regulator_to_dict",
     "regulator_from_dict",
 ]
-
-
-class UnsupportedRegulatorTail(Exception):
-    """No closed-form singular part for this profile/tail combination."""
 
 
 @dataclass(frozen=True)
@@ -59,16 +68,28 @@ class SharpCutoff:
         if not 0 < self.a < math.inf:
             raise ValueError("cutoff width a must be positive and finite")
 
-    def profile(self, x: float) -> float:
-        return 1.0 if x <= self.a else 0.0
+    def mellin(self, w: float) -> float:
+        """G(w) = a**(2w) / w, for w > 0."""
+        return self.a ** (2.0 * w) / w
+
+    @property
+    def mellin_finite_part(self) -> float:
+        """g0 = 2 ln a, the finite part of G at its pole w = 0."""
+        return 2.0 * math.log(self.a)
 
 
 @dataclass(frozen=True)
 class Exponential:
     """Profile exp(-x)."""
 
-    def profile(self, x: float) -> float:
-        return math.exp(-x)
+    def mellin(self, w: float) -> float:
+        """G(w) = 2 Gamma(2w), for w > 0."""
+        return 2.0 * math.gamma(2.0 * w)
+
+    @property
+    def mellin_finite_part(self) -> float:
+        """g0 = -2 gamma, the finite part of G at its pole w = 0."""
+        return -2.0 * np.euler_gamma
 
 
 Regulator = SharpCutoff | Exponential
@@ -158,45 +179,43 @@ class DeformedSpectrum:
 def singular_part(d: DeformedSpectrum) -> float:
     """Closed-form divergent component of the deformed reciprocal sum.
 
-    Normalized to carry no constant term: a pure log for tail exponent
-    1, a pure power for exponents below 1, and identically 0 when the
-    undeformed reciprocal sum already converges (tail exponent above 1).
-
-    Raises
-    ------
-    UnsupportedRegulatorTail
-        For profile/tail combinations without an implemented form.
+    The residue of G(w) L**w D(1+w) at w0 = 1/p - 1 for the tail
+    exponent p, normalized to carry no constant term: 0 when the
+    undeformed reciprocal sum already converges (p > 1), ln(L) / c at
+    p = 1, where D's pole meets G's, and G(w0) L**w0 / (p c**(1/p)) for
+    p < 1.
     """
-    spec, lam = d.base, d.cutoff
-    p, c = spec.tail_p, spec.tail_c
+    p, c, lam = d.base.tail_p, d.base.tail_c, d.cutoff
     if p > 1.0:
         return 0.0
-    if isinstance(d.reg, SharpCutoff):
-        if p == 1.0:
-            return math.log(lam) / c
-        edge = (d.reg.a**2 * lam / c) ** (1.0 / p)
-        return edge ** (1.0 - p) / (c * (1.0 - p))
-    if isinstance(d.reg, Exponential) and p == 1.0:
+    if p == 1.0:
         return math.log(lam) / c
-    raise UnsupportedRegulatorTail(
-        f"no closed-form singular part for {type(d.reg).__name__} "
-        f"with tail exponent {p}"
+    w0 = 1.0 / p - 1.0
+    return d.reg.mellin(w0) * lam**w0 / (p * c ** (1.0 / p))
+
+
+def singular_description(spec: Spectrum) -> str:
+    """:func:`singular_part` as a report cell: a text free of commas."""
+    p, c = spec.tail_p, spec.tail_c
+    if p > 1.0:
+        return "0 (reciprocal sum already converges)"
+    if p == 1.0:
+        return f"ln(L) / {c:.17g}"
+    return (
+        "G(w0) L^w0 / (p c^(1/p)) with w0 = 1/p - 1 and G(w) = 2 int rho(u) u^(2w-1) du; "
+        f"c={c:.17g}; p={p:.17g}"
     )
 
 
 def constant_part(spec: Spectrum, reg: Regulator, tol: float = 1e-8) -> float:
     """Cutoff-independent part of the deformed reciprocal sum.
 
-    The constant term of its Mellin asymptotics (Flajolet, Gourdon &
-    Dumas 1995), normalized as in :func:`singular_part`.  With H the
-    head's reciprocal sum and m the first tail index it is, for tail
-    exponent p > 1, the plain reciprocal sum (to within tol); for p = 1,
-    H + (gamma - ln c + I_rho - sum_{j<m} 1/j) / c with I_rho =
-    2 int_0^inf (rho(u) - [u < 1]) du/u, that is 2 ln a for the sharp
-    profile and -2 gamma for the exponential one; for p < 1 under the
-    sharp profile, H + (zeta(p) - sum_{j<m} j**-p) / c with the
-    continued Riemann zeta (the width a drops out).  The exponential
-    profile with p < 1 raises UnsupportedRegulatorTail.
+    The residue of G(w) L**w D(1+w) at w = 0, normalized as in
+    :func:`singular_part`.  With H the head's reciprocal sum and m the
+    first tail index it is, for tail exponent p > 1, the plain
+    reciprocal sum (to within tol); for p = 1, H + (gamma - ln c + g0 -
+    sum_{j<m} 1/j) / c; for p < 1, H + (zeta(p) - sum_{j<m} j**-p) / c
+    with the continued Riemann zeta, the same for every profile.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -206,16 +225,9 @@ def constant_part(spec: Spectrum, reg: Regulator, tol: float = 1e-8) -> float:
     head = sum(1.0 / v for v in spec.head_values)
     below = range(1, spec.tail_start)
     if p == 1.0:
-        sharp = isinstance(reg, SharpCutoff)
-        i_rho = 2.0 * math.log(reg.a) if sharp else -2.0 * np.euler_gamma
         harmonic = sum(1.0 / j for j in below)
-        return head + (np.euler_gamma - math.log(c) + i_rho - harmonic) / c
-    if isinstance(reg, SharpCutoff):
-        return head + (float(special.zeta(p)) - sum(j**-p for j in below)) / c
-    raise UnsupportedRegulatorTail(
-        f"no closed-form constant part for {type(reg).__name__} "
-        f"with tail exponent {p}"
-    )
+        return head + (np.euler_gamma - math.log(c) + reg.mellin_finite_part - harmonic) / c
+    return head + (float(special.zeta(p)) - sum(j**-p for j in below)) / c
 
 
 def regulator_to_dict(reg: Regulator) -> dict:

@@ -1,11 +1,11 @@
 """Positive spectra with power-law tails and their inverse-power sums.
 
 A spectrum is a positive sequence beta_1, beta_2, ... whose only
-accumulation point is infinity.  Both families implemented here end in
-an exact power law ``c * j**p``; that makes every convergence question
-decidable and every tail sum a closed form: the sums of j**-x over a
-range of the tail are differences of Hurwitz zeta values, taken by
-Euler-Maclaurin.
+accumulation point is infinity.  Every spectrum here is a finite
+explicit head followed by an exact power law ``c * j**p``; that makes
+every convergence question decidable and every tail sum a closed form:
+the sums of j**-x over a range of the tail are differences of Hurwitz
+zeta values, taken by Euler-Maclaurin.
 """
 
 from __future__ import annotations
@@ -59,26 +59,28 @@ class NoConvergence(Exception):
     """A truncated sum exceeded its term budget."""
 
 
+@dataclass(frozen=True)
 class Spectrum:
-    """Shared engine for sequences that are an explicit head followed by
-    an exact power-law tail.
-
-    Subclasses provide ``head_values`` (possibly empty), ``tail_c`` and
-    ``tail_p``; the tail rule ``c * j**p`` applies from index
+    """Finitely many explicit positive values ``head_values`` (possibly
+    none), then the exact power law ``tail_c * j**tail_p`` from index
     ``tail_start`` on.
+
+    Explicit head values let callers distort a handful of elements
+    without giving up the closed-form sums of the power-law tail.
     """
 
-    @property
-    def head_values(self) -> tuple[float, ...]:
-        raise NotImplementedError
+    head_values: tuple[float, ...]
+    tail_c: float
+    tail_p: float
 
-    @property
-    def tail_c(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def tail_p(self) -> float:
-        raise NotImplementedError
+    def __post_init__(self):
+        object.__setattr__(self, "head_values", tuple(float(v) for v in self.head_values))
+        object.__setattr__(self, "tail_c", float(self.tail_c))
+        object.__setattr__(self, "tail_p", float(self.tail_p))
+        if not all(0 < v < math.inf for v in self.head_values):
+            raise ValueError("head values must be positive and finite")
+        if not (0 < self.tail_c < math.inf and 0 < self.tail_p < math.inf):
+            raise ValueError("tail needs finite tail_c > 0 and tail_p > 0")
 
     @property
     def tail_start(self) -> int:
@@ -514,76 +516,27 @@ def _exp_power_tail(q: np.ndarray, p: float, a: int, x_a: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PowerLaw(Spectrum):
-    """beta_j = c * j**p with c, p > 0."""
-
-    c: float
-    p: float
-
-    def __post_init__(self):
-        if not (0 < self.c < math.inf and 0 < self.p < math.inf):
-            raise ValueError("power-law spectrum needs finite c > 0 and p > 0")
-
-    @property
-    def head_values(self) -> tuple[float, ...]:
-        return ()
-
-    @property
-    def tail_c(self) -> float:
-        return self.c
-
-    @property
-    def tail_p(self) -> float:
-        return self.p
+def PowerLaw(c: float, p: float) -> Spectrum:
+    """beta_j = c * j**p with c, p > 0: a spectrum without a head."""
+    return Spectrum((), c, p)
 
 
-@dataclass(frozen=True)
-class ExplicitWithTail(Spectrum):
-    """Finitely many explicit positive values, then tail_c * j**tail_p.
-
-    Lets callers distort a handful of elements without giving up the
-    closed-form sums of the power-law tail.
-    """
-
-    head: tuple[float, ...]
-    c: float
-    p: float
-
-    def __init__(self, head, tail_c: float, tail_p: float):
-        object.__setattr__(self, "head", tuple(float(v) for v in head))
-        object.__setattr__(self, "c", float(tail_c))
-        object.__setattr__(self, "p", float(tail_p))
-        if not all(0 < v < math.inf for v in self.head):
-            raise ValueError("head values must be positive and finite")
-        if not (0 < self.c < math.inf and 0 < self.p < math.inf):
-            raise ValueError("tail needs finite tail_c > 0 and tail_p > 0")
-
-    @property
-    def head_values(self) -> tuple[float, ...]:
-        return self.head
-
-    @property
-    def tail_c(self) -> float:
-        return self.c
-
-    @property
-    def tail_p(self) -> float:
-        return self.p
+def ExplicitWithTail(head, tail_c: float, tail_p: float) -> Spectrum:
+    """The explicit positive values ``head``, then tail_c * j**tail_p."""
+    return Spectrum(head, tail_c, tail_p)
 
 
 def spectrum_to_dict(spec: Spectrum) -> dict:
-    """JSON-ready descriptor of a spectrum."""
-    if isinstance(spec, PowerLaw):
-        return {"family": "power_law", "c": spec.c, "p": spec.p}
-    if isinstance(spec, ExplicitWithTail):
-        return {
-            "family": "explicit_tail",
-            "head": list(spec.head),
-            "tail_c": spec.c,
-            "tail_p": spec.p,
-        }
-    raise ValueError(f"unknown spectrum type {type(spec)!r}")
+    """JSON-ready descriptor of a spectrum: the ``power_law`` family
+    when the head is empty, ``explicit_tail`` otherwise."""
+    if not spec.head_values:
+        return {"family": "power_law", "c": spec.tail_c, "p": spec.tail_p}
+    return {
+        "family": "explicit_tail",
+        "head": list(spec.head_values),
+        "tail_c": spec.tail_c,
+        "tail_p": spec.tail_p,
+    }
 
 
 def spectrum_from_dict(d: dict) -> Spectrum:
@@ -594,12 +547,12 @@ def spectrum_from_dict(d: dict) -> Spectrum:
         raise ValueError("spectrum descriptor needs a 'family' field") from None
     if family == "power_law":
         try:
-            return PowerLaw(float(d["c"]), float(d["p"]))
+            return Spectrum((), d["c"], d["p"])
         except KeyError as e:
             raise ValueError(f"power_law descriptor missing {e}") from None
     if family == "explicit_tail":
         try:
-            return ExplicitWithTail(d["head"], float(d["tail_c"]), float(d["tail_p"]))
+            return Spectrum(d["head"], d["tail_c"], d["tail_p"])
         except KeyError as e:
             raise ValueError(f"explicit_tail descriptor missing {e}") from None
     raise ValueError(f"unknown spectrum family {family!r}")

@@ -300,6 +300,30 @@ def test_exponential_flow_at_default_config(tmp_path):
     assert all(math.isfinite(v) for row in z_rows for v in row)
 
 
+def test_exponential_sublinear_tail_at_default_config(tmp_path):
+    # tail exponent 0.7 under the exponential profile on the default
+    # grids: the singular part G(w0) L**w0 / (p c**(1/p)) with G(w) =
+    # 2 Gamma(2w) and the constant zeta(0.7) let every command run
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "spectrum": {"family": "power_law", "c": 1.0, "p": 0.7},
+        "regulator": {"kind": "exponential"},
+        "out": str(out),
+    }), encoding="utf-8")
+    for command in ("spectrum", "phi", "z", "flow"):
+        result = RUNNER.invoke(main, ["--config", str(path), command])
+        assert result.exit_code == 0, (command, result.output)
+    _, rows = tables.read_csv(out / "spectrum_report.csv")
+    assert abs(dict(rows)["kappa"] - -2.7783884455536958) <= 1e-12
+    header, phi_rows = tables.read_csv(out / "flow_phi.csv")
+    assert [row[0] for row in phi_rows] == [1e3, 1e4, 1e5]
+    dists = [row[header.index("distance_to_limit")] for row in phi_rows]
+    assert all(b < a for a, b in zip(dists, dists[1:])), dists
+    assert all((out / name).exists() for name in _PARTITION_COLUMNS)
+    _check_partition_values(out)
+
+
 def test_diagrams_builds_each_moment_once(tmp_path, monkeypatch):
     # moments.json and the identity verdicts share one build per order
     built = []
@@ -455,6 +479,18 @@ _PARTITION_COLUMNS = {
 }
 
 
+def _check_partition_values(out: Path) -> None:
+    """Every partition value in the tables under ``out`` is a finite
+    nonnegative number."""
+    for name, columns in _PARTITION_COLUMNS.items():
+        if (out / name).exists():
+            header, rows = tables.read_csv(out / name)
+            for row in rows:
+                for col in columns:
+                    value = row[header.index(col)]
+                    assert math.isfinite(value) and value >= 0, (name, col, value)
+
+
 @st.composite
 def _small_configs(draw):
     scale = st.floats(0.01, 20.0)
@@ -500,10 +536,4 @@ def test_generated_configs_exit_cleanly(tmp_path, command, overrides):
     assert result.exit_code in (0, 2, 3), result.output
     assert "Traceback" not in result.output
     assert isinstance(result.exception, (SystemExit, type(None)))
-    for name, columns in _PARTITION_COLUMNS.items():
-        if (out / name).exists():
-            header, rows = tables.read_csv(out / name)
-            for row in rows:
-                for col in columns:
-                    value = row[header.index(col)]
-                    assert math.isfinite(value) and value >= 0, (name, col, value)
+    _check_partition_values(out)

@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 import numpy as np
-from mpmath import atan, digamma, exp, factorial, harmonic, im, log, loggamma, mp, mpf, re, sqrt, zeta
+from mpmath import atan, digamma, exp, factorial, gamma, harmonic, im, log, loggamma, mp, mpf, re, sqrt, zeta
 
 import renorm as rn
 from renorm import characteristic as ch
@@ -78,8 +78,21 @@ def test_singular_part_forms():
     d = rn.DeformedSpectrum(rn.PowerLaw(1.0, 0.5), SHARP, 50.0)
     edge = 50.0**2.0
     assert rn.singular_part(d) == pytest.approx(edge**0.5 / 0.5, rel=1e-12)
-    with pytest.raises(rn.UnsupportedRegulatorTail):
-        rn.singular_part(rn.DeformedSpectrum(rn.PowerLaw(1.0, 0.5), rn.Exponential(), 10.0))
+    # sub-linear tails with the exponential profile: G(w0) L**w0 / (p c**(1/p))
+    # with G(w) = 2 Gamma(2w) and w0 = 1/p - 1
+    d = rn.DeformedSpectrum(rn.PowerLaw(1.0, 0.5), rn.Exponential(), 10.0)
+    assert rn.singular_part(d) == pytest.approx(2.0 * 10.0 / 0.5, rel=1e-12)
+    d = rn.DeformedSpectrum(rn.PowerLaw(2.0, 0.5), rn.Exponential(), 10.0)
+    assert rn.singular_part(d) == pytest.approx(2.0 * 10.0 / (0.5 * 4.0), rel=1e-12)
+    for p, c, lam_cut in ((0.7, 1.3, 1e3), (0.9, 0.4, 1e5)):
+        w0 = 1 / mpf(p) - 1
+        want = 2 * gamma(2 * w0) * mpf(lam_cut) ** w0 / (p * mpf(c) ** (1 / mpf(p)))
+        d = rn.DeformedSpectrum(rn.PowerLaw(c, p), rn.Exponential(), lam_cut)
+        assert rn.singular_part(d) == pytest.approx(float(want), rel=1e-12)
+        # the sharp profile's G(w) = a**(2w) / w in the same formula
+        want = mpf(2) ** (2 * w0) / w0 * mpf(lam_cut) ** w0 / (p * mpf(c) ** (1 / mpf(p)))
+        d = rn.DeformedSpectrum(rn.PowerLaw(c, p), rn.SharpCutoff(2.0), lam_cut)
+        assert rn.singular_part(d) == pytest.approx(float(want), rel=1e-12)
 
 
 def test_singular_part_matches_inverse_sum_growth():
@@ -122,11 +135,12 @@ def test_constant_part_exponential_profile_differs():
 
 def test_constant_part_sublinear_tail():
     # tail exponent 0.7: the constant is the analytically continued
-    # inverse-power sum at the tail exponent
-    kap = rn.constant_part(rn.PowerLaw(1.0, 0.7), SHARP, tol=1e-3)
-    assert abs(kap - float(zeta(0.7))) <= 1e-12
-    with pytest.raises(rn.UnsupportedRegulatorTail):
-        rn.constant_part(rn.PowerLaw(1.0, 0.7), rn.Exponential())
+    # inverse-power sum at the tail exponent, for every profile and width
+    for reg in (SHARP, rn.SharpCutoff(2.0), rn.Exponential()):
+        kap = rn.constant_part(rn.PowerLaw(1.0, 0.7), reg, tol=1e-3)
+        assert abs(kap - float(zeta(0.7))) <= 1e-12
+        kap = rn.constant_part(rn.ExplicitWithTail([3.0], 2.0, 0.7), reg)
+        assert abs(kap - (1 / 3 + (float(zeta(0.7)) - 1) / 2)) <= 1e-12
 
 
 def test_constant_part_shifts_exactly_with_head_distortion():
@@ -169,6 +183,21 @@ def test_exponential_constant_part_matches_direct_sums():
         # the check resolves a constant part 1e-4 off at L = 1e4
         for shift in (1e-4, -1e-4):
             assert abs(root * (r - kap - shift) + zeta_half) > 0.5 / root
+
+
+def test_exponential_sublinear_remainder_law():
+    # the next poles of G(w) = 2 Gamma(2w), at w = -1/2 and w = -1, give
+    # the remainder -zeta(p/2) / sqrt(c L) - 1/(4L) + O(L**-3/2)
+    reg = rn.Exponential()
+    for p in (0.5, 0.7, 0.9):
+        for c in (0.5, 1.0, 2.5):
+            spec = rn.PowerLaw(c, p)
+            kap = rn.constant_part(spec, reg)
+            zeta_half = float(zeta(p / 2))
+            for lam_cut in (1e2, 1e3, 1e4, 1e5):
+                law = -zeta_half / math.sqrt(c * lam_cut) - 0.25 / lam_cut
+                r = _remainder(spec, reg, lam_cut) - kap
+                assert abs(r - law) <= 0.1 * lam_cut**-1.5, (p, c, lam_cut)
 
 
 def _exp_power_sum(q, c, lam_cut, start):

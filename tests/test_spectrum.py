@@ -153,11 +153,29 @@ def test_explicit_tail_sum_matches_composition():
 
 
 def test_serialization_round_trip():
-    for spec in (rn.PowerLaw(2.5, 0.75), rn.ExplicitWithTail([1.0, 4.0], 2.0, 1.5)):
+    for spec, family in (
+        (rn.PowerLaw(2.5, 0.75), "power_law"),
+        (rn.ExplicitWithTail([1.0, 4.0], 2.0, 1.5), "explicit_tail"),
+    ):
         d = rn.spectrum_to_dict(spec)
-        json.dumps(d)  # must be JSON-ready
-        back = rn.spectrum_from_dict(d)
+        assert d["family"] == family
+        back = rn.spectrum_from_dict(json.loads(json.dumps(d)))  # must be JSON-ready
         assert back == spec
+
+
+def test_one_spectrum_type():
+    # both families build the same type: an empty head is a power law,
+    # equal to it, hashed like it and written as one
+    bare = rn.ExplicitWithTail((), 2.5, 0.75)
+    assert type(bare) is type(rn.PowerLaw(2.5, 0.75)) is rn.Spectrum
+    assert bare == rn.PowerLaw(2.5, 0.75) == rn.Spectrum((), 2.5, 0.75)
+    assert hash(bare) == hash(rn.PowerLaw(2.5, 0.75))
+    assert rn.spectrum_to_dict(bare) == {"family": "power_law", "c": 2.5, "p": 0.75}
+    assert rn.spectrum_from_dict({"family": "explicit_tail", "head": [], "tail_c": 2.5,
+                                  "tail_p": 0.75}) == bare
+    # values are stored as floats, whatever numbers they came as
+    assert rn.PowerLaw(2, 1) == rn.PowerLaw(2.0, 1.0)
+    assert rn.ExplicitWithTail([1, 4], 2, 1).head_values == (1.0, 4.0)
 
 
 def test_deserialization_errors():
