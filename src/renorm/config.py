@@ -10,7 +10,7 @@ from pathlib import Path
 from .partition import McConfig
 from .quadrature import QuadratureConfig
 from .regulator import Regulator, regulator_from_dict
-from .spectrum import Spectrum, spectrum_from_dict
+from .spectrum import Spectrum, _number, spectrum_from_dict
 
 __all__ = ["MAX_ORDER", "ConfigError", "GridSpec", "RunConfig"]
 
@@ -123,7 +123,7 @@ class RunConfig:
             mc = McConfig(**d["mc"])
         except (TypeError, ValueError) as e:
             raise ConfigError(f"bad quadrature/mc settings: {e}") from None
-        theta, lam, s, tol = (float(d[k]) for k in ("theta", "lambda", "s", "tol"))
+        theta, lam, s, tol = (_number(d[k], k) for k in ("theta", "lambda", "s", "tol"))
         if not all(math.isfinite(v) for v in (theta, lam, s, tol)):
             raise ConfigError("theta, lambda, s and tol must be finite")
         if tol <= 0:

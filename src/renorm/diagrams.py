@@ -413,27 +413,27 @@ def _shifted(moments, n: int) -> MomentPolynomial:
 def renorm_identity_holds(n: int, moments=None) -> bool:
     """Exact check of the rearrangement that finances the shift.
 
-    The full moment of (source - zeta)^n equals the tadpole-free moment
-    of (source + xi - zeta)^n once xi = b1/2: all tadpole content is
-    absorbed into the shift, so only the finite combination xi - zeta
-    survives.  Returns the verdict of exact polynomial equality.
-    ``moments``, if given, holds wick_moment(j) at least for j <= n, so
-    that checks at several n share one build of each moment; otherwise
-    each is built here, once.  The powers of xi - zeta take one product
-    each.
+    The full moment of (source - zeta)^n equals the tadpole-free moment of
+    (source + xi - zeta)^n, xi = b1/2, iff E_k holds for each k <= n (match
+    powers of zeta; C(n,i) C(n-i,r) = C(n,r) C(n-r,i)): the b1^e part of
+    moment k is C(k,e) 2^-e b1^e times the tadpole-free moment k-e.  Uses
+    the zeta-free ``moments[j]`` = wick_moment(j), j <= n, if given.
     """
     if not 0 <= n <= 20:
         raise ValueError("identity check limited to n <= 20")
-    if moments is None:
-        moments = [wick_moment(j) for j in range(n + 1)]
-    xi_minus_zeta = MomentPolynomial.loop(1) * Fraction(1, 2) - MomentPolynomial.shift()
-    powers = [MomentPolynomial.one()]
-    for _ in range(n):
-        powers.append(powers[-1] * xi_minus_zeta)
-    rhs = MomentPolynomial.zero()
-    for i in range(n + 1):
-        rhs = rhs + moments[i].drop_tadpoles() * math.comb(n, i) * powers[n - i]
-    return _shifted(moments, n) == rhs
+    moments = [wick_moment(j) for j in range(n + 1)] if moments is None else moments[: n + 1]
+    if any(z for m in moments for z, _ in m.terms):
+        raise ValueError("moments must not carry the shift symbol zeta")
+    for k in range(n + 1):
+        expected = {}
+        for e in range(k + 1):
+            scale = Fraction(math.comb(k, e), 2**e)
+            for (_, loops), c in moments[k - e].terms.items():
+                if not (loops and loops[0]):  # tadpole-free
+                    expected[(0, (e,) + loops[1:] if e else loops)] = c * scale
+        if expected != moments[k].terms:
+            return False
+    return True
 
 
 def series_coefficients(

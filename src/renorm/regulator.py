@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .spectrum import NoConvergence, Spectrum, _power
+from .spectrum import NoConvergence, Spectrum, _number, _power
 
 __all__ = [
     "NoConvergence",
@@ -183,7 +183,7 @@ def singular_part(d: DeformedSpectrum) -> float:
     exponent p, normalized to carry no constant term: 0 when the
     undeformed reciprocal sum already converges (p > 1), ln(L) / c at
     p = 1, where D's pole meets G's, and G(w0) L**w0 / (p c**(1/p)) for
-    p < 1.
+    p < 1.  Raises NoConvergence where that leaves the float range.
     """
     p, c, lam = d.base.tail_p, d.base.tail_c, d.cutoff
     if p > 1.0:
@@ -191,7 +191,16 @@ def singular_part(d: DeformedSpectrum) -> float:
     if p == 1.0:
         return math.log(lam) / c
     w0 = 1.0 / p - 1.0
-    return d.reg.mellin(w0) * lam**w0 / (p * c ** (1.0 / p))
+    try:
+        value = d.reg.mellin(w0) * lam**w0 / (p * c ** (1.0 / p))
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise NoConvergence(
+            f"singular part G(w0) L**w0 leaves the float range at tail exponent "
+            f"p = {p} (w0 = {w0}) and cutoff L = {lam}"
+        )
+    return value
 
 
 def singular_description(spec: Spectrum) -> str:
@@ -246,7 +255,7 @@ def regulator_from_dict(d: dict) -> Regulator:
     except (TypeError, KeyError):
         raise ValueError("regulator descriptor needs a 'kind' field") from None
     if kind == "sharp_cutoff":
-        return SharpCutoff(float(d.get("a", 1.0)))
+        return SharpCutoff(_number(d.get("a", 1.0), "sharp_cutoff field 'a'"))
     if kind == "exponential":
         return Exponential()
     raise ValueError(f"unknown regulator kind {kind!r}")

@@ -539,20 +539,33 @@ def spectrum_to_dict(spec: Spectrum) -> dict:
     }
 
 
+def _number(value, field: str) -> float:
+    """``float(value)`` for a config value; one of the wrong type raises
+    ValueError naming its field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} must be a number, not {value!r}") from None
+
+
 def spectrum_from_dict(d: dict) -> Spectrum:
-    """Inverse of :func:`spectrum_to_dict`, with validation."""
+    """Inverse of :func:`spectrum_to_dict`, with validation: a missing
+    field or a value of the wrong type raises ValueError naming it."""
     try:
         family = d["family"]
     except (TypeError, KeyError):
         raise ValueError("spectrum descriptor needs a 'family' field") from None
     if family == "power_law":
-        try:
-            return Spectrum((), d["c"], d["p"])
-        except KeyError as e:
-            raise ValueError(f"power_law descriptor missing {e}") from None
-    if family == "explicit_tail":
-        try:
-            return Spectrum(d["head"], d["tail_c"], d["tail_p"])
-        except KeyError as e:
-            raise ValueError(f"explicit_tail descriptor missing {e}") from None
-    raise ValueError(f"unknown spectrum family {family!r}")
+        keys = ("c", "p")
+    elif family == "explicit_tail":
+        keys = ("head", "tail_c", "tail_p")
+    else:
+        raise ValueError(f"unknown spectrum family {family!r}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{family} descriptor missing {missing[0]!r}")
+    head = d["head"] if family == "explicit_tail" else []
+    if not isinstance(head, (list, tuple)):
+        raise ValueError(f"explicit_tail field 'head' must be a list, not {head!r}")
+    c, p = (_number(d[k], f"{family} field {k!r}") for k in keys[-2:])
+    return Spectrum([_number(v, "explicit_tail field 'head'") for v in head], c, p)

@@ -116,6 +116,25 @@ def test_nonfinite_config_value_exits_2(tmp_path, command, overrides):
     assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"spectrum": {"family": "power_law", "c": None, "p": 1}}, "field 'c'"),
+        ({"spectrum": {"family": "explicit_tail", "head": 5, "tail_c": 1.0, "tail_p": 1.0}},
+         "field 'head'"),
+        ({"regulator": {"kind": "sharp_cutoff", "a": None}}, "field 'a'"),
+        ({"theta": None}, "theta must be a number"),
+    ],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, overrides, message):
+    cfg = _write_config(tmp_path, overrides)
+    result = RUNNER.invoke(main, ["--config", str(cfg), "spectrum"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert message in result.output
+
+
 def test_divergent_series_request_exits_2(tmp_path):
     # a spectrum outside every convergence class cannot feed the tables
     cfg = _write_config(
@@ -333,6 +352,27 @@ def test_diagrams_builds_each_moment_once(tmp_path, monkeypatch):
     result = RUNNER.invoke(main, ["--config", str(cfg), "diagrams"])
     assert result.exit_code == 0, result.output
     assert sorted(built) == list(range(13))
+
+
+def test_diagrams_identity_failure_exits_1(tmp_path, monkeypatch):
+    # a wrong tadpole coefficient in moment 5 breaks the identity from
+    # order 5 on; the verdicts are written before the command fails
+    real = dg.wick_moment
+
+    def corrupted(k):
+        poly = real(k)
+        if k == 5:
+            poly = poly + dg.MomentPolynomial({(0, (5,)): 1})
+        return poly
+
+    monkeypatch.setattr(dg, "wick_moment", corrupted)
+    cfg = _write_config(tmp_path, {"order": 12})
+    result = RUNNER.invoke(main, ["--config", str(cfg), "diagrams"])
+    assert result.exit_code == 1, result.output
+    assert "renormalization identity failed" in result.output
+    _, verdicts = tables.read_csv(tmp_path / "out" / "renorm_identity.csv")
+    assert [n for n, _ in verdicts] == list(range(13))
+    assert all(v is (n < 5) for n, v in verdicts)
 
 
 def test_diagrams_outputs(tmp_path):

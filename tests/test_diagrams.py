@@ -1,8 +1,10 @@
 """Exact pairing combinatorics: moments, the shift identity, series."""
 
 import cmath
+import itertools
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -104,6 +106,83 @@ def test_renorm_identity_hand_expansion_n2():
     assert lhs == dg.MomentPolynomial(
         {(0, (2,)): F(1, 4), (0, (0, 1)): F(1, 2), (1, (1,)): F(-1), (2, ()): F(1)}
     )
+
+
+def _expanded_identity(n, moments):
+    """The shift identity by expanding both sides in zeta: the full
+    moment of (source - zeta)^n against the tadpole-free moment of
+    (source + xi - zeta)^n with xi = b1/2, as exact polynomials."""
+    xi_minus_zeta = dg.MomentPolynomial.loop(1) * F(1, 2) - dg.MomentPolynomial.shift()
+    powers = [dg.MomentPolynomial.one()]
+    for _ in range(n):
+        powers.append(powers[-1] * xi_minus_zeta)
+    rhs = dg.MomentPolynomial.zero()
+    for i in range(n + 1):
+        rhs = rhs + moments[i].drop_tadpoles() * math.comb(n, i) * powers[n - i]
+    return dg._shifted(moments, n) == rhs
+
+
+MOMENTS = [dg.wick_moment(k) for k in range(13)]
+
+
+def test_renorm_identity_matches_expansion_on_true_moments():
+    for n in range(13):
+        assert dg.renorm_identity_holds(n, MOMENTS) is True
+        assert _expanded_identity(n, MOMENTS) is True
+
+
+def _corrupted(k, kind, tadpole, rng):
+    """MOMENTS with moment k changed in one tadpole (b1-carrying) or
+    tadpole-free monomial: one coefficient changed, one monomial added
+    or one dropped."""
+    terms = dict(MOMENTS[k].terms)
+    if kind == "add":
+        key = next(iter(terms))
+        while key in terms:
+            loops = [rng.randint(1, 3) if tadpole else 0]
+            loops += [rng.randint(0, 3) for _ in range(rng.randint(0, 3))]
+            key = next(iter(dg.MomentPolynomial({(0, tuple(loops)): 1}).terms))  # trimmed
+        terms[key] = F(rng.randint(1, 9), rng.randint(1, 9))
+    else:
+        key = rng.choice(sorted(
+            (z, loops) for z, loops in terms if bool(loops and loops[0]) == tadpole
+        ))
+        if kind == "drop":
+            del terms[key]
+        else:
+            terms[key] += rng.choice([-1, 1]) * F(1, rng.randint(1, 64))
+    out = list(MOMENTS)
+    out[k] = dg.MomentPolynomial(terms)
+    return out
+
+
+def test_renorm_identity_matches_expansion_on_corrupted_moments():
+    # a changed tadpole monomial of moment k breaks the identity from
+    # order k on; a changed tadpole-free one enters the b1 part of
+    # moment k+1's side only, so it breaks it from order k+1 on
+    rng = random.Random(15)
+    cases = 0
+    for k, kind, tadpole in itertools.product(
+        range(1, 11), ("change", "add", "drop"), (True, False)
+    ):
+        if k == 1 and not tadpole and kind != "add":
+            continue  # moment 1 is b1/2: no tadpole-free monomial to touch
+        for _ in range(2 if k <= 2 else 1):
+            moments = _corrupted(k, kind, tadpole, rng)
+            first = k if tadpole else k + 1
+            for n in range(12):
+                want = n < first
+                assert dg.renorm_identity_holds(n, moments) is want, (k, kind, tadpole, n)
+                assert _expanded_identity(n, moments) is want, (k, kind, tadpole, n)
+            cases += 1
+    assert cases >= 60
+
+
+def test_renorm_identity_rejects_a_zeta_moment():
+    moments = list(MOMENTS)
+    moments[3] = moments[3] + dg.MomentPolynomial.shift()
+    with pytest.raises(ValueError, match="zeta"):
+        dg.renorm_identity_holds(3, moments)
 
 
 def test_single_mode_moment_values():

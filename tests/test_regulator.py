@@ -95,6 +95,22 @@ def test_singular_part_forms():
         assert rn.singular_part(d) == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "reg, p, lam_cut",
+    [
+        (rn.Exponential(), 0.01, 10.0),  # G(99) = 2 Gamma(198) overflows
+        (SHARP, 0.001, 10.0),  # L**999 overflows
+        (SHARP, 0.05, 1e300),  # L**19 overflows
+    ],
+)
+def test_singular_part_out_of_float_range_is_no_convergence(reg, p, lam_cut):
+    d = rn.DeformedSpectrum(rn.PowerLaw(1.0, p), reg, lam_cut)
+    with pytest.raises(rn.NoConvergence) as info:
+        rn.singular_part(d)
+    assert f"p = {p} " in str(info.value)
+    assert f"cutoff L = {lam_cut}" in str(info.value)
+
+
 def test_singular_part_matches_inverse_sum_growth():
     # deformed reciprocal sum minus the singular part stays bounded
     d1 = rn.DeformedSpectrum(HARMONIC, SHARP, math.exp(10))
@@ -354,3 +370,6 @@ def test_regulator_serialization():
         rn.regulator_from_dict({"kind": "mystery"})
     with pytest.raises(ValueError):
         rn.regulator_from_dict({})
+    for a in (None, [1.0], "wide"):
+        with pytest.raises(ValueError, match="sharp_cutoff field 'a' must be a number"):
+            rn.regulator_from_dict({"kind": "sharp_cutoff", "a": a})

@@ -185,3 +185,17 @@ def test_deserialization_errors():
         rn.spectrum_from_dict({"family": "power_law", "c": 1.0})
     with pytest.raises(ValueError):
         rn.spectrum_from_dict(["not", "a", "dict"])
+    # a value of the wrong type is named, not a TypeError
+    for d, message in (
+        ({"family": "power_law", "c": None, "p": 1}, "power_law field 'c' must be a number"),
+        ({"family": "power_law", "c": 1.0, "p": [1]}, "power_law field 'p' must be a number"),
+        ({"family": "explicit_tail", "head": 5, "tail_c": 1, "tail_p": 1},
+         "explicit_tail field 'head' must be a list"),
+        ({"family": "explicit_tail", "head": [1.0, None], "tail_c": 1, "tail_p": 1},
+         "explicit_tail field 'head' must be a number"),
+        ({"family": "explicit_tail", "head": [1.0], "tail_c": "x", "tail_p": 1},
+         "explicit_tail field 'tail_c' must be a number"),
+        ({"family": ["power_law"]}, "unknown spectrum family"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            rn.spectrum_from_dict(d)
