@@ -6,9 +6,9 @@ Two views of the same renormalization procedure:
   deformations, the infinite-product characteristic functional, and the
   Gaussian-transform partition values, all with certified truncation
   errors;
-* an exact combinatorial track: Wick-pairing moment polynomials over
-  rationals and the shift identity that keeps every renormalized series
-  coefficient finite.
+* an exact combinatorial track: Wick-pairing moments as integer
+  matching counts and the shift identity that keeps every renormalized
+  series coefficient finite.
 
 The two tracks cross-validate each other; ``renorm.verify`` runs the
 whole acceptance suite.
@@ -22,8 +22,6 @@ from .diagrams import (
     partial_sum_scan,
     renorm_identity_holds,
     series_coefficients,
-    shifted_moment,
-    tadpole_free_moment,
     wick_moment,
     wick_moment_by_pairings,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "all_pairings",
     "wick_moment",
     "wick_moment_by_pairings",
-    "tadpole_free_moment",
-    "shifted_moment",
     "renorm_identity_holds",
     "series_coefficients",
     "partial_sum_scan",

@@ -42,9 +42,12 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d, name: str) -> "GridSpec":
         try:
-            return cls(float(d["min"]), float(d["max"]), int(d["count"]))
+            lo, hi, count = float(d["min"]), float(d["max"]), d["count"]
         except (TypeError, KeyError) as e:
             raise ConfigError(f"grid {name!r} needs min/max/count: {e}") from None
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ConfigError(f"grid {name!r} count must be an integer, not {count!r}")
+        return cls(lo, hi, count)
 
     def linear(self) -> list[float]:
         if self.count == 1:
@@ -132,6 +135,8 @@ class RunConfig:
             raise ConfigError("lambda must be positive")
         if d["format"] not in ("csv", "json"):
             raise ConfigError("format must be 'csv' or 'json'")
+        if not isinstance(d["out"], str):
+            raise ConfigError(f"out must be a directory name, not {d['out']!r}")
         order = d["order"]
         if isinstance(order, bool) or not (isinstance(order, int) and 0 <= order <= MAX_ORDER):
             raise ConfigError(f"order must be an integer in [0, {MAX_ORDER}]")
@@ -149,7 +154,7 @@ class RunConfig:
             theta_grid=GridSpec.from_dict(d["theta_grid"], "theta_grid"),
             quadrature=quad,
             mc=mc,
-            out=str(d["out"]),
+            out=d["out"],
             fmt=str(d["format"]),
         )
 

@@ -3,18 +3,20 @@
 A single vertex carries two external lines; the Gaussian moment of the
 k-th power of the source is the sum over all perfect matchings of the
 2k lines.  Every matching decomposes into closed loops, an l-line loop
-evaluating to the loop value b_l / 2**l, so moments are polynomials in
-the loop symbols b1, b2, ... with positive rational coefficients.
+evaluating to the loop value b_l / 2**l, so moment k is a polynomial in
+the loop symbols b1, b2, ... whose coefficients are integer matching
+counts over the one denominator 2**k.
 
-Everything here is exact: coefficients are ``fractions.Fraction``;
-floating point enters only when a caller substitutes numeric loop
-values into a series coefficient.
+Everything here is exact: moments are integer counts, series
+coefficients are ``fractions.Fraction`` recursions; floating point
+enters only when a series coefficient is converted at the end.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -24,8 +26,6 @@ __all__ = [
     "all_pairings",
     "wick_moment",
     "wick_moment_by_pairings",
-    "tadpole_free_moment",
-    "shifted_moment",
     "renorm_identity_holds",
     "series_coefficients",
     "partial_sum_scan",
@@ -59,213 +59,38 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
+@dataclass(frozen=True)
 class MomentPolynomial:
-    """Exact polynomial in loop symbols b1..bK and the shift symbol zeta.
+    """Moment k as exact integer matching counts over the denominator 2**k.
 
-    Terms map (zeta exponent, loop exponent vector) to a Fraction.  The
-    loop vector keeps the exponent of b_m at position m-1 with trailing
-    zeros trimmed, so equal polynomials compare equal structurally.
+    ``terms`` maps each loop exponent vector (the exponent of b_m at
+    position m-1, trailing zeros trimmed) to the number of perfect
+    matchings of the 2k half-lines with that loop type, so the moment is
+    sum(count * prod_m b_m**e_m) / 2**k.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        for key, coef in (terms or {}).items():
-            if not isinstance(coef, Fraction):
-                coef = Fraction(coef)
-            if coef == 0:
-                continue
-            zexp, loops = key
-            loops = tuple(int(e) for e in loops)
-            while loops and loops[-1] == 0:
-                loops = loops[:-1]
-            if any(e < 0 for e in loops) or zexp < 0:
-                raise ValueError("exponents must be nonnegative")
-            k = (int(zexp), loops)
-            clean[k] = clean[k] + coef if k in clean else coef
-        self.terms = {k: v for k, v in clean.items() if v != 0}
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "MomentPolynomial":
-        return cls()
-
-    @classmethod
-    def constant(cls, value) -> "MomentPolynomial":
-        return cls({(0, ()): Fraction(value)})
-
-    @classmethod
-    def one(cls) -> "MomentPolynomial":
-        return cls.constant(1)
-
-    @classmethod
-    def loop(cls, m: int) -> "MomentPolynomial":
-        """The loop symbol b_m."""
-        if m < 1:
-            raise ValueError("loop order is 1-based")
-        exps = [0] * m
-        exps[m - 1] = 1
-        return cls({(0, tuple(exps)): Fraction(1)})
-
-    @classmethod
-    def shift(cls) -> "MomentPolynomial":
-        """The shift symbol zeta."""
-        return cls({(1, ()): Fraction(1)})
-
-    # -- algebra -----------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MomentPolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "MomentPolynomial":
-        if not isinstance(other, MomentPolynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return MomentPolynomial(out)
-
-    def __neg__(self) -> "MomentPolynomial":
-        return MomentPolynomial({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other) -> "MomentPolynomial":
-        if not isinstance(other, MomentPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "MomentPolynomial":
-        if isinstance(other, MomentPolynomial):
-            out: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-            for (z1, l1), c1 in self.terms.items():
-                for (z2, l2), c2 in other.terms.items():
-                    n = max(len(l1), len(l2))
-                    loops = tuple(
-                        (l1[i] if i < len(l1) else 0) + (l2[i] if i < len(l2) else 0)
-                        for i in range(n)
-                    )
-                    k = (z1 + z2, loops)
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
-            return MomentPolynomial(out)
-        if isinstance(other, (int, Fraction)):
-            return MomentPolynomial(
-                {k: v * Fraction(other) for k, v in self.terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MomentPolynomial":
-        if n < 0:
-            raise ValueError("only nonnegative powers")
-        out = MomentPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    # -- structure ----------------------------------------------------------
+    k: int
+    terms: dict[tuple[int, ...], int]
 
     def drop_tadpoles(self) -> "MomentPolynomial":
         """Delete every monomial containing the single-line loop b1."""
         return MomentPolynomial(
-            {
-                (z, loops): c
-                for (z, loops), c in self.terms.items()
-                if not (loops and loops[0] > 0)
-            }
+            self.k, {loops: c for loops, c in self.terms.items() if not (loops and loops[0])}
         )
 
-    def evaluate(self, loop_values, shift=0) -> Fraction:
-        """Exact value with numeric loop values and shift.
-
-        ``loop_values[m-1]`` supplies b_m; entries may be numbers or the
-        INFINITE marker.  Touching an INFINITE entry raises
-        InfiniteCoefficient; floats are converted to exact rationals
-        before any arithmetic.
-        """
-        shift_f = Fraction(shift)
-        exact: dict[int, Fraction] = {}  # b_m as a rational, on first use
-        total = Fraction(0)
-        for (zexp, loops), coef in self.terms.items():
-            term = coef * shift_f**zexp if zexp else coef
-            for m, e in enumerate(loops, start=1):
-                if e == 0:
-                    continue
-                if m not in exact:
-                    if m > len(loop_values):
-                        raise ValueError(
-                            f"monomial needs loop value b{m} but only "
-                            f"{len(loop_values)} were supplied"
-                        )
-                    v = loop_values[m - 1]
-                    if v is INFINITE:
-                        raise InfiniteCoefficient(
-                            f"monomial with b{m}^{e} hits a divergent loop value"
-                        )
-                    exact[m] = Fraction(v)
-                term *= exact[m] ** e
-            total += term
-        return total
-
-    # -- serialization --------------------------------------------------------
-
     def to_json_obj(self) -> list[dict]:
+        """Monomials in key order, each coefficient count / 2**k reduced."""
         out = []
-        for (zexp, loops), coef in sorted(self.terms.items()):
-            exps = {f"b{m}": e for m, e in enumerate(loops, start=1) if e}
-            if zexp:
-                exps["zeta"] = zexp
+        for loops, count in sorted(self.terms.items()):
+            g = math.gcd(count, 1 << self.k)
             out.append(
                 {
-                    "exponents": exps,
-                    "num": str(coef.numerator),
-                    "den": str(coef.denominator),
+                    "exponents": {f"b{m}": e for m, e in enumerate(loops, start=1) if e},
+                    "num": str(count // g),
+                    "den": str((1 << self.k) // g),
                 }
             )
         return out
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "MomentPolynomial":
-        terms = {}
-        for entry in obj:
-            zexp = 0
-            loops: dict[int, int] = {}
-            for sym, e in entry["exponents"].items():
-                if sym == "zeta":
-                    zexp = int(e)
-                elif sym.startswith("b"):
-                    loops[int(sym[1:])] = int(e)
-                else:
-                    raise ValueError(f"unknown symbol {sym!r}")
-            size = max(loops) if loops else 0
-            vec = tuple(loops.get(m, 0) for m in range(1, size + 1))
-            terms[(zexp, vec)] = Fraction(int(entry["num"]), int(entry["den"]))
-        return cls(terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (zexp, loops), coef in sorted(self.terms.items()):
-            syms = [f"b{m}^{e}" if e > 1 else f"b{m}" for m, e in enumerate(loops, 1) if e]
-            if zexp:
-                syms.append(f"zeta^{zexp}" if zexp > 1 else "zeta")
-            body = "*".join(syms)
-            parts.append(f"{coef}*{body}" if body else f"{coef}")
-        return " + ".join(parts)
 
 
 # -- moments ------------------------------------------------------------------
@@ -288,25 +113,26 @@ def _partitions(n: int, top: int):
 
 
 def wick_moment(k: int) -> MomentPolynomial:
-    """Moment of the k-th power of the source, as an exact polynomial.
+    """Moment of the k-th power of the source, as exact matching counts.
 
     The moment generating function is exp(sum_m b_m t**m / (2m)) (the
     m-th cumulant of a squared centered Gaussian summed over modes is
     (m-1)! b_m / 2), so by the exponential formula the moment is the
     cycle index of S_k: each integer partition of k with k_m parts of
-    size m contributes k! / prod_m k_m! (2m)**k_m times prod_m b_m**k_m.
-    The pairing enumerator below validates this term by term on small
-    orders.
+    size m contributes k! / prod_m k_m! (2m)**k_m times prod_m b_m**k_m,
+    that is k! 2**k // prod_m k_m! (2m)**k_m matchings (an exact
+    division).  The pairing enumerator below validates this term by
+    term on small orders.
     """
     if not 0 <= k <= 60:
         raise ValueError("moment order limited to k <= 60")
-    total = math.factorial(k)
+    total = math.factorial(k) << k
     terms = {}
     for parts in _partitions(k, k):
         exps = tuple(parts.get(m, 0) for m in range(1, max(parts, default=0) + 1))
         weight = math.prod(math.factorial(c) * (2 * m) ** c for m, c in parts.items())
-        terms[(0, exps)] = Fraction(total, weight)
-    return MomentPolynomial(terms)
+        terms[exps] = total // weight
+    return MomentPolynomial(k, terms)
 
 
 def all_pairings(items):
@@ -364,7 +190,8 @@ def wick_moment_by_pairings(k: int) -> MomentPolynomial:
     """Brute-force oracle for :func:`wick_moment`.
 
     Enumerates all (2k-1)!! matchings, decomposes each into loops and
-    charges b_l / 2**l per l-line loop.  Exponential cost; keep k small.
+    counts the matchings of each loop type.  Exponential cost; keep k
+    small.
     """
     if not 0 <= k <= 8:
         raise ValueError("pairing enumeration limited to k <= 8")
@@ -376,38 +203,7 @@ def wick_moment_by_pairings(k: int) -> MomentPolynomial:
             vec[size - 1] += 1
         key = tuple(vec)
         counts[key] = counts.get(key, 0) + 1
-    scale = Fraction(1, 2**k)
-    return MomentPolynomial(
-        {(0, loops): scale * count for loops, count in counts.items()}
-    )
-
-
-def tadpole_free_moment(k: int) -> MomentPolynomial:
-    """Moment with every single-line-loop (tadpole) monomial removed."""
-    return wick_moment(k).drop_tadpoles()
-
-
-def shifted_moment(op: str, n: int) -> MomentPolynomial:
-    """Moment of the n-th power of the shifted source (source - zeta),
-    with the full moments (op "H") or the tadpole-free ones ("H1").
-
-    Binomial expansion with exact coefficients; zeta stays symbolic.
-    """
-    if op not in ("H", "H1"):
-        raise ValueError("op must be 'H' (full) or 'H1' (tadpole-free)")
-    moments = [wick_moment(j) for j in range(n + 1)]
-    if op == "H1":
-        moments = [m.drop_tadpoles() for m in moments]
-    return _shifted(moments, n)
-
-
-def _shifted(moments, n: int) -> MomentPolynomial:
-    """Moment of (source - zeta)^n from the moments[j] of source^j, j <= n."""
-    acc = MomentPolynomial.zero()
-    for j in range(n + 1):
-        coef = Fraction((-1) ** (n - j) * math.comb(n, j))
-        acc = acc + moments[j] * MomentPolynomial({(n - j, ()): coef})
-    return acc
+    return MomentPolynomial(k, counts)
 
 
 def renorm_identity_holds(n: int, moments=None) -> bool:
@@ -416,21 +212,21 @@ def renorm_identity_holds(n: int, moments=None) -> bool:
     The full moment of (source - zeta)^n equals the tadpole-free moment of
     (source + xi - zeta)^n, xi = b1/2, iff E_k holds for each k <= n (match
     powers of zeta; C(n,i) C(n-i,r) = C(n,r) C(n-r,i)): the b1^e part of
-    moment k is C(k,e) 2^-e b1^e times the tadpole-free moment k-e.  Uses
-    the zeta-free ``moments[j]`` = wick_moment(j), j <= n, if given.
+    moment k is C(k,e) 2^-e b1^e times the tadpole-free moment k-e.  Over
+    the denominators 2^k and 2^(k-e) that is the integer statement
+    count_k[(e,) + rest] == C(k,e) count_(k-e)[(0,) + rest].  Uses
+    ``moments[j]`` = wick_moment(j), j <= n, if given.
     """
     if not 0 <= n <= 20:
         raise ValueError("identity check limited to n <= 20")
     moments = [wick_moment(j) for j in range(n + 1)] if moments is None else moments[: n + 1]
-    if any(z for m in moments for z, _ in m.terms):
-        raise ValueError("moments must not carry the shift symbol zeta")
     for k in range(n + 1):
         expected = {}
         for e in range(k + 1):
-            scale = Fraction(math.comb(k, e), 2**e)
-            for (_, loops), c in moments[k - e].terms.items():
+            binom = math.comb(k, e)
+            for loops, c in moments[k - e].terms.items():
                 if not (loops and loops[0]):  # tadpole-free
-                    expected[(0, (e,) + loops[1:] if e else loops)] = c * scale
+                    expected[(e,) + loops[1:] if e else loops] = c * binom
         if expected != moments[k].terms:
             return False
     return True

@@ -124,15 +124,21 @@ def test_nonfinite_config_value_exits_2(tmp_path, command, overrides):
          "field 'head'"),
         ({"regulator": {"kind": "sharp_cutoff", "a": None}}, "field 'a'"),
         ({"theta": None}, "theta must be a number"),
+        ({"out": None}, "out must be"),
+        ({"out": 5}, "out must be"),
+        ({"s_grid": {"min": 0.0, "max": 2.0, "count": 2.5}}, "grid 's_grid' count"),
+        ({"n_grid": {"min": 5, "max": 50, "count": True}}, "grid 'n_grid' count"),
     ],
 )
-def test_config_value_of_wrong_type_exits_2(tmp_path, overrides, message):
+def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, overrides, message):
     cfg = _write_config(tmp_path, overrides)
+    monkeypatch.chdir(tmp_path)  # a relative output directory would land here
     result = RUNNER.invoke(main, ["--config", str(cfg), "spectrum"])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert message in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_divergent_series_request_exits_2(tmp_path):
@@ -362,7 +368,7 @@ def test_diagrams_identity_failure_exits_1(tmp_path, monkeypatch):
     def corrupted(k):
         poly = real(k)
         if k == 5:
-            poly = poly + dg.MomentPolynomial({(0, (5,)): 1})
+            poly = dg.MomentPolynomial(5, {**poly.terms, (5,): poly.terms[(5,)] + 1})
         return poly
 
     monkeypatch.setattr(dg, "wick_moment", corrupted)
