@@ -142,10 +142,10 @@ def spectrum(ctx):
     rows = [("mu", spec.min_value())]
     for k in range(1, 5):
         rows.append((f"B{k}", "yes" if spec.converges(k) else "no"))
+    orders = [k for k in range(2, 5) if spec.converges(k)]
+    sums = dict(zip(orders, spec.inverse_power_sums(orders, cfg.tol)))
     for k in range(2, 5):
-        rows.append(
-            (f"b{k}", spec.inverse_power_sum(k, cfg.tol) if spec.converges(k) else "divergent")
-        )
+        rows.append((f"b{k}", sums.get(k, "divergent")))
     rows.append(("singular_part", singular_description(spec)))
     rows.append(("kappa", constant_part(spec, cfg.regulator, tol=cfg.tol)))
     for key, val in rows:
@@ -299,10 +299,9 @@ def diagrams(ctx, order):
     click.echo(f"wrote {path}")
 
     shift_value = (kap - theta) / 2.0
-    loop_values = [
-        spec.inverse_power_sum(m, cfg.tol) if spec.converges(m) else dg.INFINITE
-        for m in range(1, 2 * order + 1)
-    ]
+    orders = [m for m in range(1, 2 * order + 1) if spec.converges(m)]
+    sums = dict(zip(orders, spec.inverse_power_sums(orders, cfg.tol)))
+    loop_values = [sums.get(m, dg.INFINITE) for m in range(1, 2 * order + 1)]
     for kind in dg.SERIES_KINDS:
         try:
             coeffs = dg.series_coefficients(kind, order, loop_values, shift_value)

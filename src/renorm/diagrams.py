@@ -7,9 +7,10 @@ evaluating to the loop value b_l / 2**l, so moment k is a polynomial in
 the loop symbols b1, b2, ... whose coefficients are integer matching
 counts over the one denominator 2**k.
 
-Everything here is exact: moments are integer counts, series
-coefficients are ``fractions.Fraction`` recursions; floating point
-enters only when a series coefficient is converted at the end.
+Everything here is exact: moments are integer counts, and series
+coefficients come from an integer recurrence over one power-of-two
+rescaled common denominator; floating point enters only in the one
+correctly rounded division that ends each coefficient.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "INFINITE",
@@ -244,13 +244,27 @@ def series_coefficients(
     never appears.
 
     ``loop_values[m-1]`` supplies b_m; b1 may be the INFINITE marker,
-    which is only legal for the renormalized kinds.  Evaluation is exact
-    in rationals, converted to float at the end.
+    which is only legal for the renormalized kinds.  Loop values and
+    shift may be integers, floats or rationals (anything with
+    ``as_integer_ratio``); each coefficient is exact until one final
+    division, which rounds it correctly, as ``float`` of the exact
+    rational does.
 
     No polynomial is built: moment(n) = n! a_n, where a_0 = 1 and
     a_n = (1/2n) sum_{m<=n} b_m a_{n-m} are the Taylor coefficients of
     exp(sum_m b_m t**m / (2m)).  Dropping tadpoles sets b1 to 0, and
     shifting the source multiplies that series by exp(shift_value t).
+    The recurrence runs in integers: t is rescaled by 2**k, which
+    multiplies b_m by 2**(km), the shift by 2**k and a_n by 2**(kn) and
+    is exact (k puts the rescaled loop values near 1, which keeps the
+    integers short); over their common denominator D, b_m 2**(km) =
+    B_m / D and shift 2**k = S / D, the integers A_n = n! (2D)**n
+    2**(kn) a_n obey
+
+        A_n = sum_{m<=n} B_m A_{n-m} (2D)**(m-1) (n-1)! / (n-m)!,
+
+    the shift turns them into sum_{i<=n} C(n,i) A_i (2S)**(n-i), and
+    coefficient j is A_{sj} / (j! (2D)**(sj) 2**(k sj)) at stride s.
 
     Raises
     ------
@@ -269,30 +283,61 @@ def series_coefficients(
     needed = stride * order
     if len(loop_values) < needed:
         raise ValueError(f"need loop values b1..b{needed} for order {order}")
-    if renorm:
-        shift = Fraction(shift_value)
-        b = [Fraction(0)] + [Fraction(v) for v in loop_values[1:needed]]
-    elif needed and loop_values[0] is INFINITE:
+    if not renorm and needed and loop_values[0] is INFINITE:
         raise InfiniteCoefficient(
             f"coefficient 1 contains b1^{stride}, a divergent loop value"
         )
-    else:
-        b = [Fraction(v) for v in loop_values[:needed]]
-    a = [Fraction(1)]
+    ratios = [(0, 1) if renorm and m == 1 else v.as_integer_ratio()
+              for m, v in enumerate(loop_values[:needed], start=1)]
+    shift = shift_value.as_integer_ratio() if renorm else (0, 1)
+    # k from a least-squares fit of the binary exponents e_m of |b_m| to
+    # -k m, so that b_m 2**(km) sits near 1
+    fit = [(m, abs(num).bit_length() - den.bit_length())
+           for m, (num, den) in enumerate(ratios, start=1) if num]
+    k = -round(sum(m * e for m, e in fit) / sum(m * m for m, _ in fit)) if fit else 0
+    # b_m 2**(km) for every m, then shift 2**k, over their common denominator D
+    scaled = [_times_power_of_two(r, k * m) for m, r in enumerate(ratios, start=1)]
+    scaled.append(_times_power_of_two(shift, k))
+    d = math.lcm(*(den for _, den in scaled))
+    *ints, big_s = (num * (d // den) for num, den in scaled)
+    two_d = 2 * d
+    steps = [b * two_d ** (m - 1) for m, b in enumerate(ints, start=1)]
+    a = [1]
     for n in range(1, needed + 1):
-        a.append(sum(b[m - 1] * a[n - m] for m in range(1, n + 1)) / (2 * n))
+        total, falling = 0, 1  # falling = (n-1)! / (n-m)!
+        for m in range(1, n + 1):
+            if m > 1:
+                falling *= n - m + 1
+            if steps[m - 1]:
+                total += steps[m - 1] * falling * a[n - m]
+        a.append(total)
+    picked = range(0, needed + 1, stride)  # n = stride * j
     if renorm:
-        exp_shift = [Fraction(1)]
-        for i in range(1, needed + 1):
-            exp_shift.append(exp_shift[-1] * shift / i)
-        a = [
-            sum(a[i] * exp_shift[n - i] for i in range(n + 1))
-            for n in range(needed + 1)
-        ]
-    return [
-        float(a[stride * j] * (math.factorial(stride * j) // math.factorial(j)))
-        for j in range(order + 1)
-    ]
+        two_s = 2 * big_s
+        powers = [1]
+        for _ in range(needed):
+            powers.append(powers[-1] * two_s)
+        tops = [sum(math.comb(n, i) * a[i] * powers[n - i] for i in range(n + 1)) for n in picked]
+    else:
+        tops = [a[n] for n in picked]
+    out = []
+    for j, (n, top) in enumerate(zip(picked, tops)):
+        num, den = _times_power_of_two((top, math.factorial(j) * two_d**n), -k * n)
+        out.append(num / den)  # int / int: correctly rounded
+    return out
+
+
+def _times_power_of_two(ratio: tuple[int, int], e: int) -> tuple[int, int]:
+    """The integer ratio (num, den) times 2**e, with the factors of two
+    that cancel taken out."""
+    num, den = ratio
+    if not num:
+        return 0, 1
+    if e >= 0:
+        t = min(e, (den & -den).bit_length() - 1)
+        return num << (e - t), den >> t
+    t = min(-e, (num & -num).bit_length() - 1)
+    return num >> t, den << (-e - t)
 
 
 def partial_sum_scan(s: float, max_order: int):

@@ -206,7 +206,7 @@ def mc_estimate(
         s1 = np.einsum("ij,ij->i", x, x)
         v = np.exp(-lam * s1 * s1)
         total += float(np.sum(v))
-        total_sq += float(np.dot(v, v))
+        total_sq += float(np.einsum("i,i->", v, v))  # not BLAS: free of its thread count
         remaining -= m
     mean = total / mc.samples
     var = max(0.0, (total_sq - mc.samples * mean * mean) / (mc.samples - 1))

@@ -173,7 +173,7 @@ class DeformedSpectrum:
         the Mellin series of the deformed tail in continued Hurwitz zeta
         values (``spectrum._exp_power_tail``).
         """
-        return float(self._deformed_sum(*_power(1))[0])
+        return float(self._deformed_sum(*_power((1,)))[0])
 
 
 def singular_part(d: DeformedSpectrum) -> float:

@@ -144,26 +144,37 @@ class Spectrum:
 
     def partial_inverse_power(self, k: float, n: int) -> float:
         """sum_{j<=n} beta_j**-k."""
-        return float(self._spectral_sum(*_power(k), upper=n)[0])
+        return float(self._spectral_sum(*_power((k,)), upper=n)[0])
 
     def inverse_power_sum(self, k: int, tol: float = 1e-10) -> float:
-        """sum_j beta_j**-k with absolute error at most tol.
+        """sum_j beta_j**-k: :meth:`inverse_power_sums` at one order."""
+        return self.inverse_power_sums((k,), tol)[0]
 
-        The power-law tail is a Hurwitz zeta value, so the sum is exact
-        to rounding whatever tol asks.
+    def inverse_power_sums(self, orders, tol: float = 1e-10) -> list[float]:
+        """sum_j beta_j**-k for each order k, each with absolute error at
+        most tol.
+
+        The power-law tail is a Hurwitz zeta value, so each sum is exact
+        to rounding whatever tol asks.  All orders share one pass over
+        the elements, one row each, and a sum does not depend on the
+        other orders asked for with it.
 
         Raises
         ------
         DivergentSum
-            If k * tail_p <= 1, i.e. the sum is infinite.
+            If k * tail_p <= 1, i.e. the sum is infinite, for an order k.
         """
         if tol <= 0:
             raise ValueError("tol must be positive")
-        if not self.converges(k):
-            raise DivergentSum(
-                f"order-{k} inverse-power sum diverges for tail exponent {self.tail_p}"
-            )
-        return float(self._spectral_sum(*_power(k))[0])
+        orders = tuple(orders)
+        for k in orders:
+            if not self.converges(k):
+                raise DivergentSum(
+                    f"order-{k} inverse-power sum diverges for tail exponent {self.tail_p}"
+                )
+        if not orders:
+            return []
+        return self._spectral_sum(*_power(orders)).tolist()
 
     # -- summation engine -------------------------------------------------
 
@@ -381,12 +392,17 @@ def _head(spec: Spectrum, last: int) -> tuple[np.ndarray, ...]:
     return blocks
 
 
-def _power(k: float):
-    """The s-free summand beta**-k, as a single row at a single node,
-    and its tail expansion, the single power b**-k (b/beta)**k."""
+def _power(orders: tuple):
+    """The s-free summands beta**-k for the given orders k, one row each
+    at a single node, and their tail expansions, the single powers
+    b**-k (b/beta)**k.  Each row is its own scalar-exponent power, which
+    rounds as it does alone (an array of exponents may not)."""
     return (
-        lambda s, beta: (beta ** (-float(k)))[None, None],
-        lambda s, b, terms: (((k,),), np.array([[[b ** (-float(k))]]])),
+        lambda s, beta: np.stack([beta ** (-float(k)) for k in orders])[:, None],
+        lambda s, b, terms: (
+            tuple((k,) for k in orders),
+            np.array([b ** (-float(k)) for k in orders])[:, None, None],
+        ),
     )
 
 
@@ -417,7 +433,9 @@ def _corrections(x: np.ndarray, t: float, terms: int) -> np.ndarray:
     Euler-Maclaurin terms of t**x zeta(x, t) after t/(x-1)."""
     # rising factorials (x)_1, (x)_3, ..., (x)_{2 terms - 1}
     rising = np.cumprod(x[:, None] + np.arange(2.0 * terms - 1.0), axis=1)[:, ::2]
-    return 0.5 + rising @ (_BERNOULLI[:terms] * t ** -_ODD[:terms])
+    # einsum, not a BLAS product: a row's value then does not depend on
+    # how many rows share the call
+    return 0.5 + np.einsum("ij,j->i", rising, _BERNOULLI[:terms] * t ** -_ODD[:terms])
 
 
 def _scaled_power_tail(x: np.ndarray, a: int, upper) -> np.ndarray:

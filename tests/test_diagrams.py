@@ -4,8 +4,12 @@ import cmath
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -224,6 +228,86 @@ def test_single_mode_moment_values():
         assert sum(dg.wick_moment(k).terms.values()) == math.prod(range(1, 2 * k, 2))
 
 
+def _fraction_series(kind, order, loop_values, shift_value=0.0):
+    """Oracle for :func:`dg.series_coefficients`: the same recursion run
+    in ``Fraction``s and converted at the end."""
+    renorm = kind.endswith("_renorm")
+    stride = 2 if kind.startswith("z") else 1
+    needed = stride * order
+    if renorm:
+        shift = F(shift_value)
+        b = [F(0)] + [F(v) for v in loop_values[1:needed]]
+    elif needed and loop_values[0] is dg.INFINITE:
+        raise dg.InfiniteCoefficient("b1 is divergent")
+    else:
+        b = [F(v) for v in loop_values[:needed]]
+    a = [F(1)]
+    for n in range(1, needed + 1):
+        a.append(sum(b[m - 1] * a[n - m] for m in range(1, n + 1)) / (2 * n))
+    if renorm:
+        exp_shift = [F(1)]
+        for i in range(1, needed + 1):
+            exp_shift.append(exp_shift[-1] * shift / i)
+        a = [sum(a[i] * exp_shift[n - i] for i in range(n + 1)) for n in range(needed + 1)]
+    return [
+        float(a[stride * j] * (math.factorial(stride * j) // math.factorial(j)))
+        for j in range(order + 1)
+    ]
+
+
+def _assert_series_match_oracle(kind, order, loop_values, shift=0.0):
+    try:
+        want = _fraction_series(kind, order, loop_values, shift)
+    except dg.InfiniteCoefficient:
+        with pytest.raises(dg.InfiniteCoefficient):
+            dg.series_coefficients(kind, order, loop_values, shift)
+        return
+    assert dg.series_coefficients(kind, order, loop_values, shift) == want
+
+
+# the four spectrum families of the benchmark's exact series (one draw of
+# their heads), and scales far from 1 on either side
+@pytest.mark.parametrize("spec, a, theta", [
+    (rn.PowerLaw(1.0, 1.0), 1.0, -0.497),
+    (rn.ExplicitWithTail([2.437485, 1.376893], 4.0, 1.0), 2.0, 0.101),
+    (rn.PowerLaw(4.0, 2.0), 2.0, -0.116),
+    (rn.ExplicitWithTail([2.296581, 2.154083, 0.673756], 1.0, 2.0), 1.0, 0.877),
+    (rn.PowerLaw(1e3, 2.0), 1.0, 0.3),
+    (rn.PowerLaw(1e-2, 2.0), 1.0, -0.3),
+], ids=["harmonic", "harmonic_head", "square", "square_head", "c=1e3", "c=1e-2"])
+def test_series_match_fraction_recursion_at_order_30(spec, a, theta):
+    # float for float, on the loop values and shift the diagrams command uses
+    shift = (rn.constant_part(spec, rn.SharpCutoff(a)) - theta) / 2.0
+    loop_values = _loop_values(spec, 60)
+    for kind in dg.SERIES_KINDS:
+        _assert_series_match_oracle(kind, 30, loop_values, shift)
+
+
+def test_series_match_fraction_recursion_on_rationals_ints_and_subnormals():
+    rng = random.Random(18)
+    pools = [
+        [F(1, 3), F(-2, 7), F(5, 11), F(1, 1000003), F(-7, 3)],
+        [0, 1, -1, 2, 3, -5, 7],
+        [5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3e-320],
+        [F(1, 3), 2, 1e-310, -0.75, 5e-324, 1e3],
+    ]
+    for pool in pools:
+        for _ in range(20):
+            kind = rng.choice(dg.SERIES_KINDS)
+            order = rng.randint(0, 8)
+            loops = [rng.choice(pool) for _ in range(2 * order + 1)]
+            _assert_series_match_oracle(kind, order, loops, rng.choice(pool))
+
+
+def test_runtime_imports_no_fractions():
+    # the exact track runs in integers; Fraction stays a test oracle
+    code = "import sys, renorm.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(rn.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+
+
 def test_series_single_mode_coefficient():
     coeffs = dg.series_coefficients("phi", 2, [1.0, 1.0])
     assert coeffs[0] == 1.0
@@ -287,8 +371,11 @@ def test_series_matches_polynomial_definition(kind, order, infinite_b1, shift, d
     except dg.InfiniteCoefficient:
         with pytest.raises(dg.InfiniteCoefficient):
             dg.series_coefficients(kind, order, loops, shift)
+        with pytest.raises(dg.InfiniteCoefficient):
+            _fraction_series(kind, order, loops, shift)
         return
     assert dg.series_coefficients(kind, order, loops, shift) == want
+    assert _fraction_series(kind, order, loops, shift) == want
 
 
 def test_series_validation():

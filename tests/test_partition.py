@@ -1,6 +1,10 @@
 """Partition values: transform, decay certificate, Monte Carlo oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,27 @@ def test_mc_deterministic_given_seed():
     assert a == b
     c = pt.mc_estimate(HARMONIC, 1.0, 4, rn.McConfig(samples=50_000, seed=778))
     assert c != a
+
+
+def test_mc_estimate_does_not_depend_on_blas_threads():
+    # a (seed, samples) pair fixes the estimate bit for bit, whatever
+    # thread count the BLAS library runs with
+    code = (
+        "import renorm as rn; from renorm import partition as pt; "
+        "print([repr(pt.mc_estimate(rn.PowerLaw(1.0, 1.0), 1.0, 10, "
+        "rn.McConfig(samples=100_000, seed=seed))) for seed in range(8)])"
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(Path(rn.__file__).parents[1]),
+                     OPENBLAS_NUM_THREADS=threads),
+        )
+        for threads in ("1", "2")
+    ]
+    outs = [proc.communicate(timeout=60)[0] for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs)
+    assert outs[0] == outs[1]
 
 
 def test_mc_agrees_with_quadrature():

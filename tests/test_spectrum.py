@@ -1,13 +1,14 @@
 """Spectrum families, inverse-power sums, and their tail discipline."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from mpmath import mp, zeta
 
 import renorm as rn
-from renorm.spectrum import DivergentSum
+from renorm.spectrum import DivergentSum, _corrections
 
 mp.dps = 40
 
@@ -77,6 +78,61 @@ def test_harmonic_sum_diverges():
         rn.PowerLaw(1.0, 1.0).inverse_power_sum(1)
     with pytest.raises(DivergentSum):
         rn.PowerLaw(1.0, 0.5).inverse_power_sum(2)  # k*p = 1 exactly
+
+
+BATCH_SPECTRA = [
+    rn.PowerLaw(1.0, 2.0),
+    rn.PowerLaw(1.0, 1.0),
+    rn.ExplicitWithTail([0.7, 2.5, 1.3], 1.0, 1.0),
+    rn.PowerLaw(4.0, 2.0),
+    rn.ExplicitWithTail([0.5], 0.3, 1.5),
+]
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECTRA)
+def test_batched_sums_do_not_depend_on_their_batch(spec):
+    orders = [k for k in range(1, 25) if spec.converges(k)]
+    single = {k: spec.inverse_power_sum(k) for k in orders}
+    rng = np.random.default_rng(18)
+    batches = [orders, orders[::-1], orders[:1] * 3 + orders[-2:]]
+    batches += [[int(k) for k in rng.choice(orders, size=int(rng.integers(2, 6)))] for _ in range(6)]
+    for batch in batches:
+        got = spec.inverse_power_sums(batch)
+        assert [v.hex() for v in got] == [single[k].hex() for k in batch]
+    assert spec.inverse_power_sums(()) == []
+
+
+def test_closed_form_tail_rows_do_not_depend_on_their_batch():
+    # the Euler-Maclaurin corrections behind every tail sum, row by row;
+    # large exponents near the first tail index make them large enough
+    # that a reduction order showing in their last bit would show here
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        x = rng.uniform(60.0, 200.0, 20)
+        t = float(rng.integers(257, 300))
+        for terms in (5, 10):
+            rows = _corrections(x, t, terms)
+            assert [_corrections(x[i : i + 1], t, terms)[0] for i in range(20)] == list(rows)
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECTRA)
+def test_batched_sums_match_direct_sums(spec):
+    # fsum over the first n elements, with the integral bound of the rest
+    # c**-k n**(1 - k p) / (k p - 1) below tol / 10 at the orders tested
+    n, tol = 20_000, 1e-10
+    vals = spec.values(n)
+    orders = [k for k in range(2, 9)
+              if spec.tail_c**-k * n ** (1 - k * spec.tail_p) / (k * spec.tail_p - 1) < tol / 10]
+    assert orders
+    for k, got in zip(orders, spec.inverse_power_sums(orders, tol)):
+        assert abs(got - math.fsum(vals**-k)) <= tol
+
+
+def test_batched_sums_name_a_divergent_order():
+    with pytest.raises(DivergentSum, match="order-1 "):
+        rn.PowerLaw(1.0, 1.0).inverse_power_sums((3, 1, 2))
+    with pytest.raises(DivergentSum, match="order-2 "):
+        rn.PowerLaw(1.0, 0.5).inverse_power_sums((4, 3, 2))
 
 
 def test_min_value():
