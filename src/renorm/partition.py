@@ -25,7 +25,7 @@ import numpy as np
 
 from . import characteristic
 from .quadrature import QuadratureConfig, QuadratureFailure, quad_checked
-from .regulator import DeformedSpectrum, singular_part
+from .regulator import DeformedSpectrum
 from .spectrum import Spectrum
 
 __all__ = [
@@ -40,8 +40,11 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1 << 15
-# Heights of the grid that locates each transform's saddle line
+# Heights of each grid that locates a transform's saddle line
 _SADDLE_NODES = 33
+# The first grid tops out at this multiple of beta_min, and each next
+# grid at this multiple of the last top
+_SADDLE_GROWTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ def _require_real(val: complex, q: QuadratureConfig, what: str) -> float:
     return val.real
 
 
-def _saddle_transform(log_phi, lam: float, q: QuadratureConfig | None, y_max: float, mu: float,
+def _saddle_transform(log_phi, lam: float, q: QuadratureConfig | None, mu: float,
                       what: str) -> float:
     """Transform of exp(log_phi) along its saddle line, for a product
     analytic on Im s > -mu.
@@ -120,23 +123,27 @@ def _saddle_transform(log_phi, lam: float, q: QuadratureConfig | None, y_max: fl
     On the line Im s = y the integrand's modulus is at most e^{g(y)}
     times the kernel density, g(y) = y^2/(4 lam) + Re log_phi(i y),
     because |1 - i s/beta| >= 1 + y/beta there; g is convex with g(0) =
-    0, and y_max bounds its minimum, the saddle, from above.  The line
-    runs at the least g over one batched log_phi call on a grid of
-    heights over [-mu/2, max(0, y_max)], clear of the branch points,
-    and 0, so that e^{g} <= 1.  Near the saddle the integrand stops
-    oscillating.  The quadrature runs on the integrand divided by
-    e^{g}, so the value gets its tolerances relative to that bound, and
-    a bound that underflows gives 0.0 without integrating.
+    0 and grows without bound.  One batched log_phi call puts g on an
+    even grid of heights over [-mu/2, top], clear of the branch points,
+    and 0, so that e^{g} <= 1; while the least g sits on the top and
+    e^{g} has not underflowed, top grows by _SADDLE_GROWTH, so the least
+    g ends below the top and brackets the minimum, the saddle.  The line
+    runs there, where the integrand stops oscillating.  The quadrature
+    runs on the integrand divided by e^{g}, so the value gets its
+    tolerances relative to that bound, and a bound that underflows
+    gives 0.0 without integrating.
     """
     q = q or QuadratureConfig()
     _half_width(lam, q)  # refuses a nonpositive coupling before any sum
-    # even in log(1 + y/mu): the engine's direct head grows with |s|/mu,
-    # so few heights far above mu keep a loose y_max cheap
-    u = np.linspace(-math.log(2.0), math.log1p(max(0.0, y_max) / mu), _SADDLE_NODES - 1)
-    heights = np.append(mu * np.expm1(u), 0.0)
-    g = heights * heights / (4.0 * lam) + log_phi(1j * heights).real
-    k = int(np.argmin(g))
-    bound = math.exp(g[k])
+    top = mu
+    while True:
+        top *= _SADDLE_GROWTH
+        heights = np.append(np.linspace(-mu / 2.0, top, _SADDLE_NODES - 1), 0.0)
+        g = heights * heights / (4.0 * lam) + log_phi(1j * heights).real
+        k = int(np.argmin(g))
+        bound = math.exp(g[k])
+        if k != _SADDLE_NODES - 2 or bound == 0.0:
+            break
     if bound == 0.0:
         return 0.0
     val = _line_integral(
@@ -148,15 +155,13 @@ def _saddle_transform(log_phi, lam: float, q: QuadratureConfig | None, y_max: fl
 
 
 def finite(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None) -> float:
-    """Partition value of the n-factor section at coupling lam, on the
-    saddle line below Im s = lam times the partial reciprocal sum."""
+    """Partition value of the n-factor section at coupling lam."""
     if n < 1:
         raise ValueError("need at least one factor")
     return _saddle_transform(
         lambda s: characteristic.finite_log(spec, s, n),
         lam,
         q,
-        lam * spec.partial_inverse_power(1, n),
         spec.min_value(),
         "finite partition value",
     )
@@ -220,13 +225,11 @@ def renormalized(
     theta: float = 0.0,
     q: QuadratureConfig | None = None,
 ) -> float:
-    """Partition value of the renormalized limit functional, on the
-    saddle line below Im s = lam (const_part - theta)."""
+    """Partition value of the renormalized limit functional."""
     return _saddle_transform(
         lambda s: characteristic.renormalized_log(spec, const_part, s, theta),
         lam,
         q,
-        lam * (const_part - theta),
         spec.min_value(),
         "renormalized partition value",
     )
@@ -240,16 +243,13 @@ def flow(
 ) -> float:
     """Partition value of the renormalized flow at a finite cutoff.
 
-    Transform of the deformed product times the counterterm phase, on
-    the saddle line below Im s = lam times the residual reciprocal sum,
-    inverse_sum - singular_part - theta.  Converges to
-    :func:`renormalized` as the cutoff is removed.
+    Transform of the deformed product times the counterterm phase.
+    Converges to :func:`renormalized` as the cutoff is removed.
     """
     return _saddle_transform(
         lambda s: characteristic.flow_log(d, s, theta),
         lam,
         q,
-        lam * (d.inverse_sum() - singular_part(d) - theta),
         d.base.min_value(),
         "flow partition value",
     )
@@ -258,9 +258,7 @@ def flow(
 def regularized(
     d: DeformedSpectrum, lam: float, q: QuadratureConfig | None = None
 ) -> float:
-    """Partition value of the raw deformed product, with no counterterm,
-    on the saddle line below Im s = lam times the deformed reciprocal
-    sum.
+    """Partition value of the raw deformed product, with no counterterm.
 
     Decays toward zero as the cutoff grows whenever the undeformed
     reciprocal sum diverges; emitted for comparison against the flow.
@@ -269,7 +267,6 @@ def regularized(
         lambda s: characteristic.deformed_log(d, s),
         lam,
         q,
-        lam * d.inverse_sum(),
         d.base.min_value(),
         "regularized partition value",
     )

@@ -151,9 +151,10 @@ def test_divergent_series_request_exits_2(tmp_path):
 
 
 def test_term_budget_exit_3(tmp_path):
-    # beta_j = 1e-9 j: the renormalized product at the theta row needs
-    # more direct terms than the summation budget allows
-    cfg = _write_config(tmp_path, {"spectrum": {"family": "power_law", "c": 1e-9, "p": 1.0}})
+    # lambda = 1e15: the kernel window of the theta row's transform
+    # reaches |s| = 3.6e8, where the renormalized product needs more
+    # direct terms than the summation budget allows
+    cfg = _write_config(tmp_path, {"lambda": 1e15})
     result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
     assert result.exit_code == 3
     assert "direct terms" in result.output
@@ -170,9 +171,8 @@ _BUDGET_MESSAGE = {"flow": "still above tolerance", "z": "direct terms", "phi": 
         # the first transform fails after the reference phi value
         ("flow", {"quadrature": {"abs_tol": 1e-300, "rel_tol": 1e-300}}, "z_renormalized"),
         # z_decay succeeds, then the theta row's renormalized product
-        # needs too many direct terms
-        ("z", {"spectrum": {"family": "power_law", "c": 1e-9, "p": 1.0}},
-         "z_theta at theta = 0"),
+        # needs too many direct terms at the edge of the kernel window
+        ("z", {"lambda": 1e15}, "z_theta at theta = 0"),
         # the finite sections succeed, then the flow over the whole
         # s-grid at the first cutoff needs too many direct terms
         ("phi", {"spectrum": {"family": "power_law", "c": 1e-9, "p": 1.0},
@@ -212,6 +212,18 @@ def test_values_below_abs_tol_on_the_default_grids(tmp_path):
     assert decay[-1][0] == 1000
     assert abs(decay[-1][1] - 1.69079196183e-32) <= 1e-9 * decay[-1][1]
     assert all(z_n > 0 for _, z_n, _ in decay)
+
+
+@pytest.mark.parametrize("command", ["z", "flow"])
+def test_small_scale_spectrum_finishes(tmp_path, command):
+    # beta_j = 1e-4 j: kappa is about 1e5, but the saddle search stops
+    # on heights below 30, where each bound e^g is reached or underflows,
+    # so no sum runs out to |s| ~ lambda kappa
+    cfg = _write_config(tmp_path, {"spectrum": {"family": "power_law", "c": 1e-4, "p": 1.0}})
+    result = RUNNER.invoke(main, ["--config", str(cfg), command])
+    assert result.exit_code == 0, result.output
+    assert list((tmp_path / "out").glob("*.csv"))
+    _check_partition_values(tmp_path / "out")
 
 
 def test_thread_count_does_not_change_tables(tmp_path):
@@ -539,7 +551,7 @@ def _check_partition_values(out: Path) -> None:
 
 @st.composite
 def _small_configs(draw):
-    scale = st.floats(0.01, 20.0)
+    scale = st.floats(1e-4, 20.0)
     exponent = st.floats(0.3, 3.0)
     if draw(st.booleans()):
         spectrum = {"family": "power_law", "c": draw(scale), "p": draw(exponent)}

@@ -319,6 +319,13 @@ def test_values_far_below_abs_tol_keep_relative_accuracy():
     ref = _direct_saddle_transform(P07.values(d.sharp_tail_max_index()), 1.0)
     assert abs(z - ref) <= 1e-9 * ref
     assert abs(z - 3.72002085e-259) <= 1e-9 * z
+    # beta_j = 1e-3 j: the saddle, near y = 10, lies far above the first
+    # grid's top 4e-3, so the grid grows until it brackets it
+    spec = rn.PowerLaw(1e-3, 1.0)
+    z = pt.finite(spec, 1.0, 100)
+    ref = _direct_saddle_transform(spec.values(100), 1.0)
+    assert abs(z - ref) <= 1e-9 * ref
+    assert abs(z - 3.8343e-111) <= 1e-4 * z
 
 
 def test_underflowing_bound_emits_zero():
