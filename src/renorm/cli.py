@@ -286,12 +286,8 @@ def diagrams(ctx, order):
     kap = _renormalized_constant(cfg)  # before any table is written
 
     full = [dg.wick_moment(k) for k in range(order + 1)]  # each built once
-    moments = [
-        {"k": k, "moment": m.to_json_obj(), "tadpole_free": m.drop_tadpoles().to_json_obj()}
-        for k, m in enumerate(full)
-    ]
     out = Path(cfg.out)
-    tables.write_json(out / "moments.json", moments)
+    tables.write_moments_json(out / "moments.json", full)
     click.echo(f"wrote {out / 'moments.json'}")
 
     verdicts = [(n, dg.renorm_identity_holds(n, full)) for n in range(min(order, 12) + 1)]

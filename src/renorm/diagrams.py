@@ -78,20 +78,6 @@ class MomentPolynomial:
             self.k, {loops: c for loops, c in self.terms.items() if not (loops and loops[0])}
         )
 
-    def to_json_obj(self) -> list[dict]:
-        """Monomials in key order, each coefficient count / 2**k reduced."""
-        out = []
-        for loops, count in sorted(self.terms.items()):
-            g = math.gcd(count, 1 << self.k)
-            out.append(
-                {
-                    "exponents": {f"b{m}": e for m, e in enumerate(loops, start=1) if e},
-                    "num": str(count // g),
-                    "den": str((1 << self.k) // g),
-                }
-            )
-        return out
-
 
 # -- moments ------------------------------------------------------------------
 

@@ -99,16 +99,24 @@ def _qk21(f, lo: np.ndarray, hi: np.ndarray):
     err = np.zeros(len(lo))
     # a non-finite value makes a nan error, which no tolerance accepts
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = (fv @ _K21) * half
+        value = _rows(fv, _K21) * half
         for part in (fv.real, fv.imag) if np.iscomplexobj(fv) else (fv,):
-            kronrod = part @ _K21
-            gauss_err = np.abs((kronrod - part @ _G21) * half)
-            resabs = (np.abs(part) @ _K21) * np.abs(half)
-            resasc = (np.abs(part - 0.5 * kronrod[:, None]) @ _K21) * np.abs(half)
+            kronrod = _rows(part, _K21)
+            gauss_err = np.abs((kronrod - _rows(part, _G21)) * half)
+            resabs = _rows(np.abs(part), _K21) * np.abs(half)
+            resasc = _rows(np.abs(part - 0.5 * kronrod[:, None]), _K21) * np.abs(half)
             scaled = resasc * np.minimum(1.0, (200.0 * gauss_err / resasc) ** 1.5)
             e = np.where((resasc != 0.0) & (gauss_err != 0.0), scaled, gauss_err)
             err += np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, e), e)
     return value, err
+
+
+def _rows(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row of values summed against the weights, by ``einsum``:
+    ``values @ weights`` goes to BLAS ``ddot`` for one row and ``gemv``
+    for more, which round differently, so a row's sum would depend on
+    how many intervals share its refinement round."""
+    return np.einsum("ij,j->i", values, weights)
 
 
 def _meets(val, err: float, abs_tol: float, rel_tol: float) -> bool:

@@ -393,15 +393,15 @@ def test_diagrams_identity_failure_exits_1(tmp_path, monkeypatch):
     assert all(v is (n < 5) for n, v in verdicts)
 
 
-def test_diagrams_outputs(tmp_path):
+def test_diagrams_outputs(tmp_path, moment_json_obj):
     cfg = _write_config(tmp_path, {"order": 3})
     result = RUNNER.invoke(main, ["--config", str(cfg), "diagrams"])
     assert result.exit_code == 0, result.output
     moments_path = tmp_path / "out" / "moments.json"
     moments = tables.read_json(moments_path)
     assert [m["k"] for m in moments] == [0, 1, 2, 3]
-    assert moments[1]["moment"] == dg.wick_moment(1).to_json_obj()
-    assert moments[3]["moment"] == dg.wick_moment(3).to_json_obj()
+    assert moments[1]["moment"] == moment_json_obj(dg.wick_moment(1))
+    assert moments[3]["moment"] == moment_json_obj(dg.wick_moment(3))
     tables.write_json(tmp_path / "again.json", moments)
     assert (tmp_path / "again.json").read_bytes() == moments_path.read_bytes()
     _, verdicts = tables.read_csv(tmp_path / "out" / "renorm_identity.csv")
@@ -478,6 +478,34 @@ def test_json_format_option(tmp_path):
     assert result.exit_code == 0, result.output
     rows = tables.read_json(tmp_path / "out" / "z_decay.json")
     assert {"n", "z_n", "bound"} == set(rows[0])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "phi", "z", "flow", "diagrams"])
+def test_json_tables_are_indented_sorted_dumps(tmp_path, command, moment_json_obj):
+    # every JSON file is json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # of its rows, which hold the values of the CSV run's cells;
+    # moments.json is that dump of the oracle objects of moments 0..3
+    cfg = _write_config(tmp_path, {"order": 3})
+    for fmt in ("csv", "json"):
+        result = RUNNER.invoke(
+            main, ["--config", str(cfg), "--out", str(tmp_path / fmt), "--format", fmt, command]
+        )
+        assert result.exit_code == 0, result.output
+    written = sorted((tmp_path / "json").iterdir())
+    assert written and all(p.suffix == ".json" for p in written)
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        if path.name == "moments.json":
+            obj = [
+                {"k": m.k, "moment": moment_json_obj(m),
+                 "tadpole_free": moment_json_obj(m.drop_tadpoles())}
+                for m in map(dg.wick_moment, range(4))
+            ]
+        else:
+            obj = json.loads(text)
+            header, rows = tables.read_csv(tmp_path / "csv" / f"{path.stem}.csv")
+            assert [[row[h] for h in header] for row in obj] == rows, path.name
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n", path.name
 
 
 def test_explicit_tail_spectrum_through_cli(tmp_path):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import renorm as rn
 from renorm import characteristic as ch
 from renorm import diagrams as dg
+from renorm import tables
 from renorm.cli import main
 
 
@@ -413,9 +414,40 @@ def test_polynomial_evaluate_exact():
     assert isinstance(val, F)
 
 
-def test_moment_json_matches_documented_shape():
-    obj = dg.wick_moment(1).to_json_obj()
+def test_moment_json_matches_documented_shape(tmp_path, moment_json_obj):
+    obj = moment_json_obj(dg.wick_moment(1))
     assert obj == [{"exponents": {"b1": 1}, "num": "1", "den": "2"}]
+    tables.write_moments_json(tmp_path / "moments.json", [dg.wick_moment(1)])
+    assert tables.read_json(tmp_path / "moments.json") == [
+        {"k": 1, "moment": obj, "tadpole_free": []}
+    ]
+
+
+def test_moments_json_is_the_indented_dump_at_every_order(tmp_path, moment_json_obj):
+    # the writer against json.dumps(indent=2, sort_keys=True) of the
+    # oracle objects for moments 0..n, n = 0..30; from n = 10 the
+    # exponent keys sort as strings, b1, b10, ..., b2.  json.dumps lays
+    # a list out one item per line, so the dump for moments 0..n is the
+    # dumps of its entries spliced; the splice is checked against
+    # json.dumps of the whole list up to order 12, which spares the
+    # pure-Python encoder the 30 cumulative dumps
+    moments = [dg.wick_moment(k) for k in range(31)]
+    objs = [
+        {"k": m.k, "moment": moment_json_obj(m),
+         "tadpole_free": moment_json_obj(m.drop_tadpoles())}
+        for m in moments
+    ]
+    entries = [json.dumps([obj], indent=2, sort_keys=True)[1:-2] for obj in objs]
+    path = tmp_path / "moments.json"
+    for n in range(31):
+        want = "[" + ",".join(entries[: n + 1]) + "\n]\n"
+        if n <= 12:
+            assert want == json.dumps(objs[: n + 1], indent=2, sort_keys=True) + "\n"
+        tables.write_moments_json(path, moments[: n + 1])
+        assert path.read_bytes() == want.encode(), f"order {n}"
+    assert '"b10": 1,\n          "b2": 1' in want
+    tables.write_moments_json(path, [])
+    assert path.read_bytes() == b"[]\n"
 
 
 def test_moments_json_entries_pin_reduced_fractions(tmp_path):

@@ -76,6 +76,23 @@ def test_single_interval_is_qk21(f, a, b):
     assert abs(err - ref[1]) <= 1e-9 * ref[1]  # (200 err / resasc)**1.5 amplifies rounding
 
 
+@pytest.mark.parametrize("kind", [float, complex])
+def test_qk21_rows_do_not_depend_on_their_batch(kind):
+    # an interval's value and error estimate are the same bits whether
+    # it is evaluated alone or with others in one refinement round
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 8, 33, 100):
+        lo = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        hi = lo + 10.0 ** rng.uniform(-6, 3, size=n)
+        fv = rng.normal(size=(n, 21)) * 10.0 ** rng.uniform(-5, 5, size=(n, 1))
+        if kind is complex:
+            fv = fv + 1j * rng.normal(size=(n, 21))
+        vals, errs = qd._qk21(lambda x: fv.ravel(), lo, hi)
+        for i in range(n):
+            val, err = qd._qk21(lambda x: fv[i], lo[i : i + 1], hi[i : i + 1])
+            assert (val[0], err[0]) == (vals[i], errs[i]), (n, i)
+
+
 def test_gaussian_moments_closed_form():
     # E s^{2k} = (2k - 1)!! under the standard normal density
     for k in range(6):
