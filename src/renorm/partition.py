@@ -19,6 +19,7 @@ convergent trapezoidal rule", SIAM Review 56, 2014).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,11 @@ class McConfig:
     seed: int = 20_240_809
 
     def __post_init__(self):
-        if not 1000 <= self.samples < math.inf:
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"mc {name} must be an integer, not {value!r}")
+        if self.samples < 1000:
             raise ValueError("need at least 1000 samples for a usable error bar")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
@@ -202,12 +207,14 @@ def mc_estimate(
         raise ValueError("coupling must be nonnegative")
     sig = 1.0 / np.sqrt(2.0 * spec.values(n))
     rng = np.random.Generator(np.random.Philox(mc.seed))
+    buf = np.empty((min(_MC_CHUNK, mc.samples), n))  # one draw buffer for every chunk
     total = 0.0
     total_sq = 0.0
     remaining = mc.samples
     while remaining > 0:
         m = min(_MC_CHUNK, remaining)
-        x = rng.standard_normal((m, n)) * sig
+        x = rng.standard_normal(out=buf[:m])
+        x *= sig
         s1 = np.einsum("ij,ij->i", x, x)
         v = np.exp(-lam * s1 * s1)
         total += float(np.sum(v))

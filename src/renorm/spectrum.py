@@ -34,9 +34,14 @@ _BATCH = 1 << 16
 # Hard stop for direct summation; sums needing more direct terms than
 # this are refused rather than silently degraded.
 _MAX_TERMS = 1 << 28
-# Tail indices summed directly before the closed form takes over; from
-# index 257 on five Bernoulli terms give the tail to rounding.
+# Tail indices an s-free sum (and the exponential profile) sums directly
+# before the closed form takes over; from index 257 on five Bernoulli
+# terms give the tail to rounding.
 _HEAD_TERMS = 256
+# Indices a sum over nodes sums directly at least, before its series in
+# radius/beta; of 16, 32, 64 and 128 the fastest for the z and flow
+# transforms of the benchmark's sharp-cutoff tables.
+_NODE_HEAD = 32
 # Direct ranges up to this length are built once per spectrum and kept.
 _CACHED_HEAD = 1 << 12
 # B_2k / (2k)! for k = 1..10, and the powers 2k - 1 they go with
@@ -198,11 +203,13 @@ class Spectrum:
         several sums over the same elements share one pass; the nodes go
         in slices of at most ``_BATCH`` node-element pairs per block (one
         node at a time against blocks longer than that).  Elements up
-        to the tail index J = max(256, first j with radius / beta_j <=
-        1/2), capped at ``upper``, are summed directly, block by block,
-        and masked by ``thresh``; past J the caller caps ``upper`` at
-        the threshold.  The nodes are summed in runs of ascending |s|,
-        each with radius = its largest |s| (see :meth:`_runs`).  Past J,
+        to the tail index J = max(32, first j with radius / beta_{j+1}
+        <= 1/2), 256 for an s-free sum (radius 0), and never before the
+        explicit head ends, capped at ``upper``, are summed directly,
+        block by block, and masked by ``thresh``; past J the caller
+        caps ``upper`` at the threshold.  The nodes are summed in runs
+        of ascending |s|, each with radius = its largest |s| (see
+        :meth:`_runs`).  Past J,
         ``series(s, b, K)`` gives the orders m, a tuple of rows of
         numbers, and the real weights w, an array of shape (rows, nodes,
         orders) (one node, broadcast, for a summand free of s), with
@@ -245,13 +252,12 @@ class Spectrum:
         """The tail index J of a sum at |s| <= radius, and its upper end
         (cut to J when no series follows)."""
         c, p = self.tail_c, self.tail_p
-        far = max(_HEAD_TERMS, self.tail_start - 1)
         if exp_cutoff is not None:
-            far, upper = _exp_head(c, p, self.tail_start - 1, max(radius, c), exp_cutoff)
-        elif radius > 0.0:
-            need = (math.log(2.0 * radius) - math.log(c)) / p
-            far = max(far, math.ceil(math.exp(min(need, 100.0))))
-        return far, upper
+            return _exp_head(c, p, self.tail_start - 1, max(radius, c), exp_cutoff)
+        if radius == 0.0:
+            return max(_HEAD_TERMS, self.tail_start - 1), upper
+        need = (math.log(2.0 * radius) - math.log(c)) / p
+        return max(_NODE_HEAD, self.tail_start - 1, math.ceil(math.exp(min(need, 100.0)))), upper
 
     def _runs(self, radii: np.ndarray, upper, exp_cutoff: float | None) -> list[np.ndarray]:
         """The node indices in ascending |s|, cut into runs in which
@@ -381,7 +387,7 @@ def _exp_head(c: float, p: float, head: int, radius: float, cutoff: float):
 
 
 # Kept between calls: every sum over a spectrum sums the same leading
-# elements, most often the first 256.
+# elements, most often the first 32 (over nodes) or 256 (s-free).
 @functools.lru_cache(maxsize=64)
 def _head(spec: Spectrum, last: int) -> tuple[np.ndarray, ...]:
     """Elements 1..last in the blocks of :meth:`Spectrum.chunks`; at
@@ -439,17 +445,29 @@ def _corrections(x: np.ndarray, t: float, terms: int) -> np.ndarray:
 
 
 def _scaled_power_tail(x: np.ndarray, a: int, upper) -> np.ndarray:
-    """a**x * sum_{j=a}^{upper} j**-x, elementwise in x, for a > 256.
+    """a**x * sum_{j=a}^{upper} j**-x, elementwise in x.
 
-    The sum is F_x(a) - F_x(upper + 1) with the Euler-Maclaurin form
-    of the Hurwitz zeta, F_x(a) = a**(1-x)/(x-1) + a**-x/2 + sum_{k<=5}
-    B_2k/(2k)! (x)_{2k-1} a**(-x-2k+1) (DLMF 25.11), accurate to
-    rounding from a = 257 on for every x > 0.  The difference of the
-    leading terms, the integral of t**-x from a to upper + 1, is taken
-    as a L expm1(y)/y with L = ln((upper+1)/a) and y = (1-x) L, which
-    holds through x = 1 without cancellation.  An infinite ``upper``
-    needs every x > 1.
+    From a > 256 on the sum is F_x(a) - F_x(upper + 1) with the
+    Euler-Maclaurin form of the Hurwitz zeta, F_x(a) = a**(1-x)/(x-1) +
+    a**-x/2 + sum_{k<=5} B_2k/(2k)! (x)_{2k-1} a**(-x-2k+1) (DLMF
+    25.11), accurate to rounding from a = 257 on for every x > 0.  The
+    difference of the leading terms, the integral of t**-x from a to
+    upper + 1, is taken as a L expm1(y)/y with L = ln((upper+1)/a) and
+    y = (1-x) L, which holds through x = 1 without cancellation.  A
+    smaller a sums (a/j)**x = exp(-x log1p((j-a)/a)) directly up to j =
+    256, each term to a few ulps, and adds (a/257)**x times the sum
+    from 257.  An infinite ``upper`` needs every x > 1.
     """
+    if a <= _HEAD_TERMS:
+        last = min(_HEAD_TERMS, upper)
+        steps = np.log1p(np.arange(last - a + 1.0) / a)
+        head = np.add.reduce(np.exp(-x[:, None] * steps), axis=1)
+        if upper == last:
+            return head
+        a_next = _HEAD_TERMS + 1
+        return head + np.exp(-x * math.log1p((a_next - a) / a)) * _scaled_power_tail(
+            x, a_next, upper
+        )
     if upper == math.inf:
         return a / (x - 1.0) + _corrections(x, a, 5)
     top = float(upper) + 1.0

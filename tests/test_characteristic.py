@@ -271,6 +271,28 @@ def test_batch_nodes_pay_for_their_own_head(monkeypatch):
     assert np.max(np.abs(log_phi.imag - scalar.imag)) <= 3e-14
 
 
+def test_small_nodes_sum_only_the_floor_directly():
+    # at |s| <= 14 on beta_j = j every node's series may start at index
+    # 33, so each node sums only the floor's terms directly; the rows
+    # against the Weierstrass product sum_j [log(1 - z/j) + z/j] = gamma
+    # z - log Gamma(1 - z), z = i s
+    s = np.concatenate((np.linspace(-14.0, 14.0, 29), np.linspace(-7.0, 7.0, 9) + 0.4j))
+    rows, series = ch._log_terms(2)
+    terms = []
+
+    def counting(nodes, beta):
+        terms.append(nodes.size * beta.size)
+        return rows(nodes, beta)
+
+    got = HARMONIC._spectral_sum(counting, series, s)
+    assert sum(terms) <= len(s) * spectrum._NODE_HEAD
+    for x, (twice_re, im) in zip(s, got.T):
+        z = 1j * complex(x)
+        want = euler * z - loggamma(1 - z)
+        assert abs(twice_re - 2 * want.real) <= 1e-15 * max(1.0, abs(2 * want.real))
+        assert abs(im - want.imag) <= 1e-15 * max(1.0, abs(want.imag))
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(xs=st.lists(st.floats(-14.0, 14.0), min_size=1, max_size=12), **BATCH_SPECTRA)
 def test_batch_modulus_even_and_phase_odd(xs, p, c, head):

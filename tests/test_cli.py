@@ -141,6 +141,26 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, overrides, me
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize(
+    "mc, field",
+    [
+        ({"samples": 2000.0, "seed": 11}, "samples"),
+        ({"samples": 20000, "seed": 1.5}, "seed"),
+        ({"samples": 20000, "seed": True}, "seed"),
+    ],
+)
+def test_non_integer_mc_setting_exits_2(tmp_path, mc, field):
+    # refused at config load: a float sample count used to reach numpy
+    # only after the z_decay and z_theta transforms, as a raw TypeError
+    cfg = _write_config(tmp_path, {"mc": mc})
+    result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert f"mc {field} must be an integer" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_divergent_series_request_exits_2(tmp_path):
     # a spectrum outside every convergence class cannot feed the tables
     cfg = _write_config(

@@ -144,6 +144,28 @@ def test_mc_estimate_does_not_depend_on_blas_threads():
     assert outs[0] == outs[1]
 
 
+# repr of mc_estimate(PowerLaw(1, 1), 1.0, n, McConfig(samples, seed=20_240_809
+# + n)) for samples under one chunk, two whole chunks, and three chunks
+# with a partial last one
+MC_PINNED = {
+    (1_000, 1): "(0.7837542405447421, 0.009926422286012867)",
+    (1_000, 10): "(0.2846040253171072, 0.008584783813000168)",
+    (1_000, 64): "(0.03975469699379238, 0.0020478607884171166)",
+    (65_536, 1): "(0.7694805451285629, 0.0012537071488572863)",
+    (65_536, 10): "(0.2830272678171762, 0.0010548074261264473)",
+    (65_536, 64): "(0.037993341009756855, 0.00025443301985064666)",
+    (100_000, 1): "(0.7707172114830256, 0.0010125994370925422)",
+    (100_000, 10): "(0.2830034341313201, 0.0008531797884224944)",
+    (100_000, 64): "(0.03829379195307516, 0.00020833466619338514)",
+}
+
+
+def test_mc_estimate_bits_are_pinned():
+    for (samples, n), want in MC_PINNED.items():
+        mc = rn.McConfig(samples=samples, seed=20_240_809 + n)
+        assert repr(pt.mc_estimate(HARMONIC, 1.0, n, mc)) == want
+
+
 def test_mc_agrees_with_quadrature():
     for n in (1, 2, 4, 8):
         est, se = pt.mc_estimate(HARMONIC, 1.0, n, rn.McConfig(samples=200_000, seed=n))
@@ -154,6 +176,10 @@ def test_mc_agrees_with_quadrature():
 def test_mc_validation():
     with pytest.raises(ValueError):
         rn.McConfig(samples=10, seed=1)
+    with pytest.raises(ValueError, match="samples"):
+        rn.McConfig(samples=2000.0, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        rn.McConfig(samples=2000, seed=False)
     with pytest.raises(ValueError):
         pt.mc_estimate(HARMONIC, 1.0, 65, rn.McConfig())
     with pytest.raises(ValueError):
