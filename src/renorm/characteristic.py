@@ -23,7 +23,7 @@ import numpy as np
 
 from .quadrature import QuadratureConfig, QuadratureFailure, quad_checked
 from .regulator import DeformedSpectrum, singular_part
-from .spectrum import Spectrum, _tail_sums
+from .spectrum import Spectrum
 
 __all__ = [
     "finite_log",
@@ -95,13 +95,15 @@ def _log_terms(first: int):
         # in place: a temporary the size of the block costs as much as a pass
         np.multiply(np.add(y, 2.0, out=re), y, out=re)
         re += np.multiply(x, x, out=im)
-        np.log1p(re, out=re)
         np.add(y, 1.0, out=im)
         if y.min(initial=0.0) < -0.5:
             # there beta + Im s is exact, and log |1 + w|**2 does not cancel
             edge = y < -0.5
+            np.log1p(re, out=re, where=~edge)
             im[edge] = ((beta + s.imag) / beta)[edge]
             re[edge] = np.log(im[edge] ** 2 + x[edge] ** 2)
+        else:
+            np.log1p(re, out=re)
         np.arctan(np.divide(x, im, out=im), out=im)
         if first == 2:
             re -= np.multiply(y, 2.0, out=y)
@@ -121,12 +123,12 @@ def _log_terms(first: int):
 @functools.lru_cache(maxsize=64)
 def _series_terms(first: int, count: int):
     """The orders first, ..., first + count - 1 of :func:`_log_terms`'
-    series, as one tuple per row, and the weights -2/m and -1/m of
-    their rows 2 Re and Im."""
+    series, which its rows 2 Re and Im share, and their weights -2/m
+    and -1/m."""
     m = np.arange(first, first + count)
     scale = np.array([[-2.0], [-1.0]]) / m
     scale.flags.writeable = False
-    return (tuple(m.tolist()),) * 2, scale
+    return tuple(m.tolist()), scale
 
 
 # log(1 + w) for the product, log(1 + w) - w for its renormalized limit
@@ -138,11 +140,6 @@ def _log_product(sums):
     """-(1/2) sum_j log(1 + w_j) from the rows of :func:`_log_terms`."""
     twice_re, im = sums
     return -0.25 * twice_re - 0.5j * im
-
-
-def cache_clear() -> None:
-    """Empty the tail-sum cache, so that no value outlives a command."""
-    _tail_sums.cache_clear()
 
 
 def renormalized_log(spec: Spectrum, const_part: float, s, theta: float = 0.0):

@@ -126,7 +126,6 @@ def _renormalized_constant(cfg: RunConfig) -> float:
 def main(ctx, config, out, fmt, seed, threads):
     """Evaluate regularized Gaussian product functionals and their
     renormalized limits, and emit data tables."""
-    ch.cache_clear()  # cached tail sums live for one subcommand
     ctx.obj = {"config": config, "out": out, "fmt": fmt, "seed": seed}
 
 

@@ -222,9 +222,10 @@ def constant_part(spec: Spectrum, reg: Regulator, tol: float = 1e-8) -> float:
     The residue of G(w) L**w D(1+w) at w = 0, normalized as in
     :func:`singular_part`.  With H the head's reciprocal sum and m the
     first tail index it is, for tail exponent p > 1, the plain
-    reciprocal sum (to within tol); for p = 1, H + (gamma - ln c + g0 -
-    sum_{j<m} 1/j) / c; for p < 1, H + (zeta(p) - sum_{j<m} j**-p) / c
-    with the continued Riemann zeta, the same for every profile.
+    reciprocal sum, exact to rounding (tol is only validated); for p =
+    1, H + (gamma - ln c + g0 - sum_{j<m} 1/j) / c; for p < 1, H +
+    (zeta(p) - sum_{j<m} j**-p) / c with the continued Riemann zeta,
+    the same for every profile.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")

@@ -42,8 +42,6 @@ _HEAD_TERMS = 256
 # radius/beta; of 16, 32, 64 and 128 the fastest for the z and flow
 # transforms of the benchmark's sharp-cutoff tables.
 _NODE_HEAD = 32
-# Direct ranges up to this length are built once per spectrum and kept.
-_CACHED_HEAD = 1 << 12
 # B_2k / (2k)! for k = 1..10, and the powers 2k - 1 they go with
 _BERNOULLI = np.array([
     1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
@@ -105,24 +103,17 @@ class Spectrum:
 
     def values(self, n: int) -> np.ndarray:
         """Elements 1..n as a float64 array."""
-        return np.concatenate(list(self.chunks(1, n))) if n >= 1 else np.empty(0)
+        return np.concatenate(list(self.chunks(n)))
 
-    def chunks(self, lo: int, hi: int, size: int = _CHUNK):
-        """Yield the elements for indices lo..hi (inclusive) in blocks."""
-        if lo < 1 or hi < lo:
-            if hi < lo:
-                return
-            raise ValueError("indices are 1-based")
-        head = self.head_values
-        m = len(head)
-        if lo <= m:
-            yield np.asarray(head[lo - 1 : min(hi, m)], dtype=float)
-        start = max(lo, m + 1)
-        while start <= hi:
-            stop = min(hi, start + size - 1)
-            j = np.arange(start, stop + 1, dtype=float)
+    def chunks(self, last: int):
+        """Yield elements 1..last in blocks: the explicit head's, then
+        the tail's ``_CHUNK`` at a time; at least one block, so that the
+        row sums of an empty range are zeros."""
+        if self.head_values or last < 1:
+            yield np.asarray(self.head_values[: max(last, 0)], dtype=float)
+        for start in range(self.tail_start, last + 1, _CHUNK):
+            j = np.arange(start, min(last + 1, start + _CHUNK), dtype=float)
             yield self.tail_c * j**self.tail_p
-            start = stop + 1
 
     # -- global quantities ----------------------------------------------
 
@@ -156,13 +147,12 @@ class Spectrum:
         return self.inverse_power_sums((k,), tol)[0]
 
     def inverse_power_sums(self, orders, tol: float = 1e-10) -> list[float]:
-        """sum_j beta_j**-k for each order k, each with absolute error at
-        most tol.
+        """sum_j beta_j**-k for each order k, each exact to rounding.
 
-        The power-law tail is a Hurwitz zeta value, so each sum is exact
-        to rounding whatever tol asks.  All orders share one pass over
-        the elements, one row each, and a sum does not depend on the
-        other orders asked for with it.
+        The power-law tail is a Hurwitz zeta value, so tol is only
+        checked to be positive.  All orders share one pass over the
+        elements, one row each, and a sum does not depend on the other
+        orders asked for with it.
 
         Raises
         ------
@@ -209,14 +199,13 @@ class Spectrum:
         block by block, and masked by ``thresh``; past J the caller
         caps ``upper`` at the threshold.  The nodes are summed in runs
         of ascending |s|, each with radius = its largest |s| (see
-        :meth:`_runs`).  Past J,
-        ``series(s, b, K)`` gives the orders m, a tuple of rows of
-        numbers, and the real weights w, an array of shape (rows, nodes,
-        orders) (one node, broadcast, for a summand free of s), with
-        row i of f(s, beta) = sum_k w_ik (b/beta)**m_ik, b = beta_{J+1},
-        truncated past order 2K in radius/beta; each distinct
+        :meth:`_runs`).  Past J, ``series(s, b, K)`` gives the orders
+        m, one tuple for all rows, and the real weights w, an array of
+        shape (rows, nodes, orders) (one node, broadcast, for a summand
+        free of s), with row i of f(s, beta) = sum_k w_ik (b/beta)**m_k,
+        b = beta_{J+1}, truncated past order 2K in radius/beta; each
         order is summed once, in closed form and free of s, for every
-        row and node that uses it.  K follows from the geometric bound
+        row and node.  K follows from the geometric bound
         (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with n the tail length
         (2 (J+1) for an infinite tail, which bounds sum_{j>J}
         (b/beta_j)**m once m p >= 2), so each sum is exact to rounding.
@@ -303,7 +292,7 @@ class Spectrum:
                 f"sum at |s| = {radius:g} needs more than {_MAX_TERMS} direct terms"
             )
         total = 0.0
-        for block in _head(self, last) if last <= _CACHED_HEAD else self.chunks(1, last):
+        for block in self.chunks(last):
             if exp_cutoff is not None:
                 with np.errstate(over="ignore"):
                     block = block * np.exp(np.sqrt(block / exp_cutoff))
@@ -331,7 +320,7 @@ class Spectrum:
                     raise NoConvergence(
                         f"tail sums overflow the float range at tail exponent p = {p:g}{at}"
                     )
-                return np.einsum("rnk,rk->rn", weights, sums)
+                return np.einsum("rnk,k->rn", weights, sums)
 
             total = total + _by_nodes(tail, nodes, terms)
         return total
@@ -386,52 +375,38 @@ def _exp_head(c: float, p: float, head: int, radius: float, cutoff: float):
     return last, last
 
 
-# Kept between calls: every sum over a spectrum sums the same leading
-# elements, most often the first 32 (over nodes) or 256 (s-free).
-@functools.lru_cache(maxsize=64)
-def _head(spec: Spectrum, last: int) -> tuple[np.ndarray, ...]:
-    """Elements 1..last in the blocks of :meth:`Spectrum.chunks`; at
-    least one block, so that the row sums of an empty range are zeros."""
-    blocks = tuple(spec.chunks(1, last)) or (np.empty(0),)
-    for block in blocks:
-        block.flags.writeable = False  # shared by every caller through the cache
-    return blocks
-
-
 def _power(orders: tuple):
     """The s-free summands beta**-k for the given orders k, one row each
     at a single node, and their tail expansions, the single powers
-    b**-k (b/beta)**k.  Each row is its own scalar-exponent power, which
+    b**-k (b/beta)**k: b**-k on the diagonal of the weights, whose
+    zeros add nothing.  Each row is its own scalar-exponent power, which
     rounds as it does alone (an array of exponents may not)."""
     return (
         lambda s, beta: np.stack([beta ** (-float(k)) for k in orders])[:, None],
         lambda s, b, terms: (
-            tuple((k,) for k in orders),
-            np.array([b ** (-float(k)) for k in orders])[:, None, None],
+            orders,
+            np.diag([b ** (-float(k)) for k in orders])[:, None, :],
         ),
     )
 
 
-# Cached: the tail sums do not depend on s, and every batch of nodes of a
-# quadrature asks for the same ones.
+# Cached for the life of the process: the tail sums do not depend on s,
+# and every batch of nodes of a quadrature asks for the same ones.
 @functools.lru_cache(maxsize=256)
 def _tail_sums(orders: tuple, p: float, a: int, upper, x_a: float | None = None) -> np.ndarray:
-    """a**x * sum_{j=a}^{upper} j**-x at x = p m for the orders m of
-    each row, or, given x_a, the exponentially deformed sums of
-    :func:`_exp_power_tail`; an order shared by rows is summed once."""
-    distinct = sorted({m for row in orders for m in row})
-    m = np.array(distinct, dtype=float)
+    """a**x * sum_{j=a}^{upper} j**-x at x = p m, one for each order m,
+    or, given x_a, the exponentially deformed sums of
+    :func:`_exp_power_tail` (which needs the orders ascending)."""
+    m = np.array(orders, dtype=float)
     if x_a is not None:
         sums = _exp_power_tail(m, p, a, x_a)
     else:
         x = p * m
-        if upper == math.inf and x[0] <= 1.0:
-            raise DivergentSum(f"sum diverges: tail exponent {p} gives exponent {x[0]} <= 1")
+        if upper == math.inf and x.min() <= 1.0:
+            raise DivergentSum(f"sum diverges: tail exponent {p} gives exponent {x.min()} <= 1")
         sums = _scaled_power_tail(x, a, upper)
-    index = {m: i for i, m in enumerate(distinct)}
-    out = sums[[[index[m] for m in row] for row in orders]]
-    out.flags.writeable = False  # shared by every caller through the cache
-    return out
+    sums.flags.writeable = False  # shared by every caller through the cache
+    return sums
 
 
 def _corrections(x: np.ndarray, t: float, terms: int) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Finite product sections, the renormalized limit, and the flow."""
 
 import cmath
+import hashlib
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -457,6 +459,33 @@ def _mp_log_sum(s, betas, renormalized=False):
     if renormalized:
         return mp.fsum(log(1 + minus_is / b) - minus_is / b for b in betas)
     return mp.fsum(log(1 + minus_is / b) for b in betas)
+
+
+def test_no_warning_at_the_branch_points():
+    # |1 + w|**2 - 1 rounds to -1 at s = -i mu (1 - 1e-9), where log1p
+    # would divide by zero: those entries take log |1 + w|**2 alone, and
+    # every value keeps its bits (the float.hex() of the first, and the
+    # sha256 of all of them, batched and one node at a time)
+    values = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (HARMONIC, rn.ExplicitWithTail([0.7, 2.5], 1.0, 1.0)):
+            mu = spec.min_value()
+            s = np.array([-1j * mu * (1 - 1e-9), -0.99j * mu, 0.02 - 0.999j * mu, -3.0 - 0.9j * mu])
+            sharp = rn.DeformedSpectrum(spec, SHARP, 1e3)
+            expo = rn.DeformedSpectrum(spec, rn.Exponential(), 5.0)
+            for quantity in (
+                lambda x: ch.finite_log(spec, x, 1000),
+                lambda x: ch.renormalized_log(spec, GAMMA, x, 0.3),
+                lambda x: ch.flow_log(sharp, x, 0.3),
+                lambda x: ch.flow_log(expo, x, 0.3),
+            ):
+                values += [f"{float(z.real).hex()} {float(z.imag).hex()}" for z in quantity(s)]
+                values += [float(quantity(complex(u)).real).hex() for u in s]
+    assert values[0] == "0x1.ba18a99e952acp+3 0x0.0p+0"
+    assert hashlib.sha256(" ".join(values).encode()).hexdigest()[:32] == (
+        "1accff4b9bb5799d179012422bee37ca"
+    )
 
 
 def test_complex_arguments_match_mpmath_sums():

@@ -261,14 +261,28 @@ def test_thread_count_does_not_change_tables(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_tail_sums_live_for_one_subcommand(tmp_path):
+def test_tail_sums_carry_across_subcommands(tmp_path):
+    # the s-free tail sums stay cached, read-only, from one subcommand
+    # to the next, and give the tables a fresh cache gives
     from renorm.spectrum import _tail_sums
 
     cfg = _write_config(tmp_path, {})
-    assert RUNNER.invoke(main, ["--config", str(cfg), "flow"]).exit_code == 0
-    assert _tail_sums.cache_info().currsize > 0
-    assert RUNNER.invoke(main, ["--config", str(cfg), "verify", "--list"]).exit_code == 0
-    assert _tail_sums.cache_info().currsize == 0
+
+    def tables_of(command, out):
+        result = RUNNER.invoke(main, ["--config", str(cfg), "--out", str(out), command])
+        assert result.exit_code == 0, result.output
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = tables_of("flow", tmp_path / "first")
+    tables_of("z", tmp_path / "z")
+    hits = _tail_sums.cache_info().hits
+    again = tables_of("flow", tmp_path / "again")
+    assert _tail_sums.cache_info().hits > hits
+    _tail_sums.cache_clear()
+    assert first and again == first == tables_of("flow", tmp_path / "fresh")
+    sums = _tail_sums((2, 3), 1.0, 40, math.inf)
+    with pytest.raises(ValueError, match="read-only"):
+        sums[0] = 0.0
 
 
 def test_unbounded_n_grid_finishes(tmp_path):

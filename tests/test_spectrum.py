@@ -42,6 +42,24 @@ def test_values_match_scalar_access():
         assert vals[j - 1] == pytest.approx(spec.value(j), rel=1e-15)
 
 
+def test_chunks_join_to_the_values():
+    # an explicit head longer and shorter than the range, a range across
+    # the tail's first block boundary, and empty ranges
+    head = rn.ExplicitWithTail([5.0, 3.0, 7.0, 1.5], 2.0, 0.8)
+    big = 1 << 20
+    cases = [(head, 2, [2]), (head, 9, [4, 5]), (head, big + 7, [4, big, 3]),
+             (rn.PowerLaw(1.5, 0.5), big + 2, [big, 2]), (head, 0, [0]),
+             (rn.PowerLaw(1.5, 0.5), 0, [0])]
+    for spec, last, sizes in cases:
+        blocks = list(spec.chunks(last))
+        assert [b.size for b in blocks] == sizes
+        joined = np.concatenate(blocks)
+        assert np.array_equal(joined, spec.values(last))
+        for j in {1, 3, 5, big, big + 1, last}:
+            if 1 <= j <= last:
+                assert joined[j - 1] == pytest.approx(spec.value(j), rel=1e-15)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         rn.PowerLaw(0.0, 1.0)
