@@ -285,24 +285,26 @@ def diagrams(ctx, order):
     kap = _renormalized_constant(cfg)  # before any table is written
 
     full = [dg.wick_moment(k) for k in range(order + 1)]  # each built once
-    out = Path(cfg.out)
-    tables.write_moments_json(out / "moments.json", full)
-    click.echo(f"wrote {out / 'moments.json'}")
-
     verdicts = [(n, dg.renorm_identity_holds(n, full)) for n in range(min(order, 12) + 1)]
-    path = _emit(cfg, "renorm_identity", ["order", "verdict"], verdicts)
-    click.echo(f"wrote {path}")
-
     shift_value = (kap - theta) / 2.0
     orders = [m for m in range(1, 2 * order + 1) if spec.converges(m)]
     sums = dict(zip(orders, spec.inverse_power_sums(orders, cfg.tol)))
     loop_values = [sums.get(m, dg.INFINITE) for m in range(1, 2 * order + 1)]
+    series = {}
     for kind in dg.SERIES_KINDS:
         try:
             coeffs = dg.series_coefficients(kind, order, loop_values, shift_value)
-            rows = list(enumerate(coeffs))
+            series[kind] = list(enumerate(coeffs))
         except dg.InfiniteCoefficient:
-            rows = [(0, 1.0)] + [(j, "infinite") for j in range(1, order + 1)]
+            series[kind] = [(0, 1.0)] + [(j, "infinite") for j in range(1, order + 1)]
+
+    # every value first, so that a failure leaves no table behind
+    out = Path(cfg.out)
+    tables.write_moments_json(out / "moments.json", full)
+    click.echo(f"wrote {out / 'moments.json'}")
+    path = _emit(cfg, "renorm_identity", ["order", "verdict"], verdicts)
+    click.echo(f"wrote {path}")
+    for kind, rows in series.items():
         path = _emit(cfg, f"series_{kind}", ["order", "coefficient"], rows)
         click.echo(f"wrote {path}")
 

@@ -90,22 +90,28 @@ def transform(phi, lam: float, q: QuadratureConfig | None = None, shift: float =
     return _line_integral(lambda s: np.exp(-s * s / (4.0 * lam)) * phi(s), lam, q, shift)
 
 
-def _line_integral(f, lam: float, q: QuadratureConfig, y: float) -> complex:
-    """norm * integral of f(x + i y) over |x| <= w, in one complex
-    adaptive pass whose first round has one qk21 panel per two kernel
-    widths."""
+def _line_integral(f, lam: float, q: QuadratureConfig, y: float, cut: bool = False) -> complex:
+    """norm * integral of f(x + i y) over |x| <= w, in one complex pass.
+    With ``cut``, |norm f(x)| = norm rho(x) e^{-x^2/(4 lam)}, rho <= 1
+    falling in |x|, so the mass beyond x is at most the lesser of
+    |norm f(x)| 2 lam/|x| and rho(x)/2, and refinement stops there."""
     w = _half_width(lam, q)
     norm = 1.0 / math.sqrt(4.0 * math.pi * lam)
-    max_limit = max(64, q.max_nodes // 21)
-    panels = min(math.ceil(q.half_width_sigmas), max_limit)
+
+    def tail(x, fx):
+        with np.errstate(divide="ignore", over="ignore"):  # an inf term has a finite partner
+            return np.abs(fx) * np.minimum(
+                2.0 * lam / np.abs(x), math.sqrt(math.pi * lam) * np.exp(x * x / (4.0 * lam))
+            )
+
     val, _ = quad_checked(
         lambda x: norm * f(x + 1j * y),
         -w,
         w,
         abs_tol=q.abs_tol,
         rel_tol=q.rel_tol,
-        max_limit=max_limit,
-        points=np.linspace(-w, w, panels + 1)[1:-1],
+        max_nodes=q.max_nodes,
+        tail=tail if cut else None,
     )
     return complex(val)
 
@@ -152,7 +158,7 @@ def _saddle_transform(log_phi, lam: float, q: QuadratureConfig | None, mu: float
     if bound == 0.0:
         return 0.0
     val = _line_integral(
-        lambda s: np.exp(log_phi(s) - s * s / (4.0 * lam) - g[k]), lam, q, heights[k]
+        lambda s: np.exp(log_phi(s) - s * s / (4.0 * lam) - g[k]), lam, q, heights[k], cut=True
     )
     # the value is an expectation of a positive variable: a negative
     # quadrature value is within its error of 0, and 0 is nearer the truth

@@ -158,6 +158,8 @@ class Spectrum:
         ------
         DivergentSum
             If k * tail_p <= 1, i.e. the sum is infinite, for an order k.
+        NoConvergence
+            If a sum exceeds the float range.
         """
         if tol <= 0:
             raise ValueError("tol must be positive")
@@ -169,7 +171,12 @@ class Spectrum:
                 )
         if not orders:
             return []
-        return self._spectral_sum(*_power(orders)).tolist()
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            sums = self._spectral_sum(*_power(orders)).tolist()
+        for k, v in zip(orders, sums):
+            if not math.isfinite(v):
+                raise NoConvergence(f"order-{k} inverse-power sum exceeds the float range")
+        return sums
 
     # -- summation engine -------------------------------------------------
 

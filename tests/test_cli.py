@@ -8,6 +8,7 @@ import time
 from datetime import timedelta
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
@@ -285,6 +286,32 @@ def test_tail_sums_carry_across_subcommands(tmp_path):
         sums[0] = 0.0
 
 
+@pytest.mark.parametrize(
+    "head, command, order",
+    [
+        # b24 = 1e336 on the way to the order-12 series
+        (1e-14, "diagrams", 12),
+        (1e-300, "spectrum", None),
+        (1e-300, "diagrams", 1),
+        # the tiny head's characteristic rows overflow, with the right
+        # values, before z_decay's bound refuses b2
+        pytest.param(1e-300, "z", None, marks=pytest.mark.filterwarnings(
+            "ignore:overflow encountered in multiply:RuntimeWarning")),
+    ],
+)
+def test_inverse_power_sum_past_the_float_range_exits_3(tmp_path, head, command, order):
+    overrides = {"spectrum": {"family": "explicit_tail", "head": [head], "tail_c": 1, "tail_p": 2}}
+    if order is not None:
+        overrides["order"] = order
+    cfg = _write_config(tmp_path, overrides)
+    result = RUNNER.invoke(main, ["--config", str(cfg), command])
+    assert result.exit_code == 3, result.output
+    assert "Traceback" not in result.output
+    assert "inverse-power sum exceeds the float range" in result.output
+    assert "inf" not in result.output
+    assert not (tmp_path / "out").exists() or list((tmp_path / "out").glob("*")) == []
+
+
 def test_unbounded_n_grid_finishes(tmp_path):
     # finite sections up to n = 1e300 are closed-form sums, so both
     # commands end promptly with finite values; z's largest section has
@@ -326,6 +353,20 @@ def test_phi_scan_complex_value_is_polar_pair(tmp_path):
     for row in rows:
         re, im, modulus, phase = row[5:]
         assert complex(re, im) == cmath.rect(modulus, phase)
+
+
+def test_z_theta_at_large_coupling(tmp_path, mp_kernel_transform):
+    # default config at lambda = 1e8: beta_j = j, kappa = gamma, so each
+    # row transforms Gamma(1 - is)^(1/2) e^(-is theta/2)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"lambda": 1e8, "out": str(tmp_path / "out")}), encoding="utf-8")
+    result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
+    assert result.exit_code == 0, result.output
+    _, rows = tables.read_csv(tmp_path / "out" / "z_theta.csv")
+    assert [row[0] for row in rows] == [0.0, 0.5, 1.0]
+    for theta, z in rows:
+        ref = mp_kernel_transform(1e8, lambda s: mp.loggamma(1 - 1j * s) / 2 - 0.5j * s * theta)
+        assert abs(z / ref - 1.0) <= 1e-8, (theta, z, ref)
 
 
 def test_z_tables(tmp_path):

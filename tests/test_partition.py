@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -254,10 +255,34 @@ def test_regularized_value_decays_without_counterterm():
 
 def test_quadrature_failure_reports_limit():
     # no quadrature meets a tolerance below its rounding floor: the
-    # failure names the error estimate and the subinterval limit
+    # failure names the error estimate and the node budget, which is
+    # never below 1344
     q = rn.QuadratureConfig(max_nodes=64, abs_tol=1e-300, rel_tol=1e-300)
-    with pytest.raises(rn.QuadratureFailure, match="still above tolerance .* at limit=64"):
+    with pytest.raises(rn.QuadratureFailure, match="still above tolerance .* within 1344 nodes"):
         pt.finite(HARMONIC, 1.0, 1000, q)
+
+
+@pytest.mark.parametrize("lam", [1e7, 3e7, 1e8, 1e9])
+def test_renormalized_value_at_large_coupling(lam, mp_kernel_transform):
+    # beta_j = j with kappa = gamma: phi_ren(s) = Gamma(1 - is)^(1/2),
+    # whose mass lies in |s| <~ 30, a sliver of the kernel window
+    # +-8 sqrt(2 lam); sqrt(lam) Z tends to 0.998904...
+    ref = mp_kernel_transform(lam, lambda s: mp.loggamma(1 - 1j * s) / 2)
+    assert abs(pt.renormalized(HARMONIC, GAMMA, lam) / ref - 1.0) <= 1e-8
+
+
+def test_flow_value_at_large_coupling(mp_kernel_transform):
+    # sharp cutoff L = 1e5 on beta_j = j: phi_flow is the Gamma ratio
+    # [G(L + 1) G(1 - is) / G(L + 1 - is)]^(1/2) L^(-is/2)
+    lam_cut = 1e5
+    d = rn.DeformedSpectrum(HARMONIC, SHARP, lam_cut)
+
+    def log_flow(s):
+        ratio = mp.loggamma(lam_cut + 1) - mp.loggamma(lam_cut + 1 - 1j * s)
+        return (ratio + mp.loggamma(1 - 1j * s)) / 2 - 0.5j * s * mp.log(lam_cut)
+
+    ref = mp_kernel_transform(1e8, log_flow)
+    assert abs(pt.flow(d, 1e8) / ref - 1.0) <= 1e-8
 
 
 def test_finite_validation():
