@@ -21,6 +21,7 @@ from .diagrams import (
     all_pairings,
     partial_sum_scan,
     renorm_identity_holds,
+    renorm_identity_verdicts,
     series_coefficients,
     wick_moment,
     wick_moment_by_pairings,
@@ -74,6 +75,7 @@ __all__ = [
     "wick_moment",
     "wick_moment_by_pairings",
     "renorm_identity_holds",
+    "renorm_identity_verdicts",
     "series_coefficients",
     "partial_sum_scan",
 ]

@@ -285,7 +285,7 @@ def diagrams(ctx, order):
     kap = _renormalized_constant(cfg)  # before any table is written
 
     full = [dg.wick_moment(k) for k in range(order + 1)]  # each built once
-    verdicts = [(n, dg.renorm_identity_holds(n, full)) for n in range(min(order, 12) + 1)]
+    verdicts = list(enumerate(dg.renorm_identity_verdicts(full[:13])))
     shift_value = (kap - theta) / 2.0
     orders = [m for m in range(1, 2 * order + 1) if spec.converges(m)]
     sums = dict(zip(orders, spec.inverse_power_sums(orders, cfg.tol)))

@@ -27,6 +27,7 @@ __all__ = [
     "wick_moment",
     "wick_moment_by_pairings",
     "renorm_identity_holds",
+    "renorm_identity_verdicts",
     "series_coefficients",
     "partial_sum_scan",
 ]
@@ -82,22 +83,6 @@ class MomentPolynomial:
 # -- moments ------------------------------------------------------------------
 
 
-def _partitions(n: int, top: int):
-    """Integer partitions of n into parts of size <= top.
-
-    Each is yielded once as a fresh {size: count} dict.
-    """
-    if n == 0:
-        yield {}
-        return
-    for m in range(min(n, top), 1, -1):
-        for k in range(1, n // m + 1):
-            for parts in _partitions(n - k * m, m - 1):
-                parts[m] = k
-                yield parts
-    yield {1: n}
-
-
 def wick_moment(k: int) -> MomentPolynomial:
     """Moment of the k-th power of the source, as exact matching counts.
 
@@ -109,15 +94,35 @@ def wick_moment(k: int) -> MomentPolynomial:
     that is k! 2**k // prod_m k_m! (2m)**k_m matchings (an exact
     division).  The pairing enumerator below validates this term by
     term on small orders.
+
+    The partitions are walked from the largest part size down in one
+    exponent vector, each level multiplying its k_m! (2m)**k_m into the
+    weight it passes on.
     """
     if not 0 <= k <= 60:
         raise ValueError("moment order limited to k <= 60")
     total = math.factorial(k) << k
     terms = {}
-    for parts in _partitions(k, k):
-        exps = tuple(parts.get(m, 0) for m in range(1, max(parts, default=0) + 1))
-        weight = math.prod(math.factorial(c) * (2 * m) ** c for m, c in parts.items())
-        terms[exps] = total // weight
+    exps = [0] * k
+
+    def fill(n, m, size, weight):
+        # parts of size <= m (m <= n unless n = 0) summing to n, below the
+        # counts already in exps, whose nonzero prefix is size long
+        if n == 0:
+            terms[tuple(exps[:size])] = total // weight
+        elif m == 1:
+            exps[0] = n
+            terms[tuple(exps[: size or 1])] = total // ((weight * math.factorial(n)) << n)
+            exps[0] = 0
+        else:
+            for c in range(n // m + 1):
+                if c:
+                    weight *= 2 * m * c
+                exps[m - 1] = c
+                fill(n - c * m, min(n - c * m, m - 1), size or (m if c else 0), weight)
+            exps[m - 1] = 0
+
+    fill(k, k, 0, 1)
     return MomentPolynomial(k, terms)
 
 
@@ -206,16 +211,26 @@ def renorm_identity_holds(n: int, moments=None) -> bool:
     if not 0 <= n <= 20:
         raise ValueError("identity check limited to n <= 20")
     moments = [wick_moment(j) for j in range(n + 1)] if moments is None else moments[: n + 1]
-    for k in range(n + 1):
-        expected = {}
-        for e in range(k + 1):
-            binom = math.comb(k, e)
-            for loops, c in moments[k - e].terms.items():
-                if not (loops and loops[0]):  # tadpole-free
-                    expected[(e,) + loops[1:] if e else loops] = c * binom
-        if expected != moments[k].terms:
-            return False
-    return True
+    return renorm_identity_verdicts(moments)[n]
+
+
+def renorm_identity_verdicts(moments) -> list[bool]:
+    """``renorm_identity_holds(n, moments)`` for every n < len(moments),
+    each E_k checked once: verdict n is the running AND of E_0..E_n."""
+    if len(moments) > 21:
+        raise ValueError("identity check limited to n <= 20")
+    verdicts, holds = [], True
+    for k in range(len(moments)):
+        if holds:
+            expected = {}
+            for e in range(k + 1):
+                binom = math.comb(k, e)
+                for loops, c in moments[k - e].terms.items():
+                    if not (loops and loops[0]):  # tadpole-free
+                        expected[(e,) + loops[1:] if e else loops] = c * binom
+            holds = expected == moments[k].terms
+        verdicts.append(holds)
+    return verdicts
 
 
 def series_coefficients(
@@ -239,18 +254,17 @@ def series_coefficients(
     No polynomial is built: moment(n) = n! a_n, where a_0 = 1 and
     a_n = (1/2n) sum_{m<=n} b_m a_{n-m} are the Taylor coefficients of
     exp(sum_m b_m t**m / (2m)).  Dropping tadpoles sets b1 to 0, and
-    shifting the source multiplies that series by exp(shift_value t).
-    The recurrence runs in integers: t is rescaled by 2**k, which
-    multiplies b_m by 2**(km), the shift by 2**k and a_n by 2**(kn) and
-    is exact (k puts the rescaled loop values near 1, which keeps the
-    integers short); over their common denominator D, b_m 2**(km) =
-    B_m / D and shift 2**k = S / D, the integers A_n = n! (2D)**n
-    2**(kn) a_n obey
+    shifting the source multiplies that series by exp(shift_value t), so
+    a renormalized series is the same one at b1 = 2 shift_value.  The
+    recurrence runs in integers: t is rescaled by 2**k, which multiplies
+    b_m by 2**(km) and a_n by 2**(kn) and is exact (k puts the rescaled
+    loop values near 1, which keeps the integers short); over their
+    common denominator D, b_m 2**(km) = B_m / D, the integers
+    A_n = n! (2D)**n 2**(kn) a_n obey
 
         A_n = sum_{m<=n} B_m A_{n-m} (2D)**(m-1) (n-1)! / (n-m)!,
 
-    the shift turns them into sum_{i<=n} C(n,i) A_i (2S)**(n-i), and
-    coefficient j is A_{sj} / (j! (2D)**(sj) 2**(k sj)) at stride s.
+    and coefficient j is A_{sj} / (j! (2D)**(sj) 2**(k sj)) at stride s.
 
     Raises
     ------
@@ -273,21 +287,19 @@ def series_coefficients(
         raise InfiniteCoefficient(
             f"coefficient 1 contains b1^{stride}, a divergent loop value"
         )
-    ratios = [(0, 1) if renorm and m == 1 else v.as_integer_ratio()
-              for m, v in enumerate(loop_values[:needed], start=1)]
-    shift = shift_value.as_integer_ratio() if renorm else (0, 1)
+    # renormalized: b1 = 2 shift, doubled exactly (2.0 * shift overflows above 8.99e307)
+    ratios = [_times_power_of_two(shift_value.as_integer_ratio(), 1) if renorm and m == 1
+              else v.as_integer_ratio() for m, v in enumerate(loop_values[:needed], start=1)]
     # k from a least-squares fit of the binary exponents e_m of |b_m| to
     # -k m, so that b_m 2**(km) sits near 1
     fit = [(m, abs(num).bit_length() - den.bit_length())
            for m, (num, den) in enumerate(ratios, start=1) if num]
     k = -round(sum(m * e for m, e in fit) / sum(m * m for m, _ in fit)) if fit else 0
-    # b_m 2**(km) for every m, then shift 2**k, over their common denominator D
+    # b_m 2**(km) for every m over their common denominator D
     scaled = [_times_power_of_two(r, k * m) for m, r in enumerate(ratios, start=1)]
-    scaled.append(_times_power_of_two(shift, k))
     d = math.lcm(*(den for _, den in scaled))
-    *ints, big_s = (num * (d // den) for num, den in scaled)
     two_d = 2 * d
-    steps = [b * two_d ** (m - 1) for m, b in enumerate(ints, start=1)]
+    steps = [num * (d // den) * two_d ** (m - 1) for m, (num, den) in enumerate(scaled, start=1)]
     a = [1]
     for n in range(1, needed + 1):
         total, falling = 0, 1  # falling = (n-1)! / (n-m)!
@@ -297,18 +309,9 @@ def series_coefficients(
             if steps[m - 1]:
                 total += steps[m - 1] * falling * a[n - m]
         a.append(total)
-    picked = range(0, needed + 1, stride)  # n = stride * j
-    if renorm:
-        two_s = 2 * big_s
-        powers = [1]
-        for _ in range(needed):
-            powers.append(powers[-1] * two_s)
-        tops = [sum(math.comb(n, i) * a[i] * powers[n - i] for i in range(n + 1)) for n in picked]
-    else:
-        tops = [a[n] for n in picked]
     out = []
-    for j, (n, top) in enumerate(zip(picked, tops)):
-        num, den = _times_power_of_two((top, math.factorial(j) * two_d**n), -k * n)
+    for j, n in enumerate(range(0, needed + 1, stride)):  # n = stride * j
+        num, den = _times_power_of_two((a[n], math.factorial(j) * two_d**n), -k * n)
         out.append(num / den)  # int / int: correctly rounded
     return out
 

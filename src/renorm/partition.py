@@ -147,14 +147,17 @@ def _saddle_transform(log_phi, lam: float, q: QuadratureConfig | None, mu: float
     q = q or QuadratureConfig()
     _half_width(lam, q)  # refuses a nonpositive coupling before any sum
     top = mu
-    while True:
-        top *= _SADDLE_GROWTH
-        heights = np.append(np.linspace(-mu / 2.0, top, _SADDLE_NODES - 1), 0.0)
-        g = heights * heights / (4.0 * lam) + log_phi(1j * heights).real
-        k = int(np.argmin(g))
-        bound = math.exp(g[k])
-        if k != _SADDLE_NODES - 2 or bound == 0.0:
-            break
+    # g = inf where a height's square or a product's log overflows: no
+    # bound there, and argmin passes it over
+    with np.errstate(over="ignore"):
+        while True:
+            top *= _SADDLE_GROWTH
+            heights = np.append(np.linspace(-mu / 2.0, top, _SADDLE_NODES - 1), 0.0)
+            g = heights * heights / (4.0 * lam) + log_phi(1j * heights).real
+            k = int(np.argmin(g))
+            bound = math.exp(g[k])
+            if k != _SADDLE_NODES - 2 or bound == 0.0:
+                break
     if bound == 0.0:
         return 0.0
     val = _line_integral(
@@ -217,15 +220,16 @@ def mc_estimate(
     total = 0.0
     total_sq = 0.0
     remaining = mc.samples
-    while remaining > 0:
-        m = min(_MC_CHUNK, remaining)
-        x = rng.standard_normal(out=buf[:m])
-        x *= sig
-        s1 = np.einsum("ij,ij->i", x, x)
-        v = np.exp(-lam * s1 * s1)
-        total += float(np.sum(v))
-        total_sq += float(np.einsum("i,i->", v, v))  # not BLAS: free of its thread count
-        remaining -= m
+    with np.errstate(over="ignore"):  # s1 * s1 = inf gives the right e^-inf = 0
+        while remaining > 0:
+            m = min(_MC_CHUNK, remaining)
+            x = rng.standard_normal(out=buf[:m])
+            x *= sig
+            s1 = np.einsum("ij,ij->i", x, x)
+            v = np.exp(-lam * s1 * s1)
+            total += float(np.sum(v))
+            total_sq += float(np.einsum("i,i->", v, v))  # not BLAS: free of its thread count
+            remaining -= m
     mean = total / mc.samples
     var = max(0.0, (total_sq - mc.samples * mean * mean) / (mc.samples - 1))
     return mean, math.sqrt(var / mc.samples)

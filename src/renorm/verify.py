@@ -90,7 +90,7 @@ def criterion_03_renorm_identity(seed: int) -> CriterionResult:
     """Shift identity holds exactly for n = 0..12 within the time budget."""
     t0 = time.perf_counter()
     moments = [dg.wick_moment(k) for k in range(13)]
-    verdicts = [dg.renorm_identity_holds(n, moments) for n in range(13)]
+    verdicts = dg.renorm_identity_verdicts(moments)
     elapsed = time.perf_counter() - t0
     ok = all(verdicts) and elapsed < 30.0
     return CriterionResult(

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import renorm as rn
 from renorm import diagrams as dg
+from renorm import partition as pt
 from renorm import tables
 from renorm.cli import main
 
@@ -293,10 +296,7 @@ def test_tail_sums_carry_across_subcommands(tmp_path):
         (1e-14, "diagrams", 12),
         (1e-300, "spectrum", None),
         (1e-300, "diagrams", 1),
-        # the tiny head's characteristic rows overflow, with the right
-        # values, before z_decay's bound refuses b2
-        pytest.param(1e-300, "z", None, marks=pytest.mark.filterwarnings(
-            "ignore:overflow encountered in multiply:RuntimeWarning")),
+        (1e-300, "z", None),
     ],
 )
 def test_inverse_power_sum_past_the_float_range_exits_3(tmp_path, head, command, order):
@@ -310,6 +310,23 @@ def test_inverse_power_sum_past_the_float_range_exits_3(tmp_path, head, command,
     assert "inverse-power sum exceeds the float range" in result.output
     assert "inf" not in result.output
     assert not (tmp_path / "out").exists() or list((tmp_path / "out").glob("*")) == []
+
+
+def test_extreme_scales_raise_no_overflow_warning(tmp_path):
+    # each overflowing product is +inf, the right limit: a saddle height
+    # without a bound at tail_c = 1e300; a product row at head 1e-300,
+    # whose b2 z_decay then refuses; a Monte Carlo weight e^-inf = 0
+    power_law = {"family": "power_law", "c": 1e300, "p": 1.0}
+    tiny_head = {"family": "explicit_tail", "head": [1e-300], "tail_c": 1, "tail_p": 2}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spectrum, code in ((power_law, 0), (tiny_head, 3)):
+            cfg = _write_config(tmp_path, {"spectrum": spectrum})
+            result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
+            assert result.exit_code == code, result.output
+        assert "inverse-power sum exceeds the float range" in result.output
+        spec = rn.ExplicitWithTail([1e-300], 1, 2)
+        assert pt.mc_estimate(spec, 1.0, 4, rn.McConfig()) == (0.0, 0.0)
 
 
 def test_unbounded_n_grid_finishes(tmp_path):

@@ -1,6 +1,7 @@
 """Exact pairing combinatorics: moments, the shift identity, series."""
 
 import cmath
+import hashlib
 import itertools
 import json
 import math
@@ -219,8 +220,28 @@ def test_renorm_identity_matches_expansion_on_corrupted_moments():
                 want = n < first
                 assert dg.renorm_identity_holds(n, moments) is want, (k, kind, tadpole, n)
                 assert _expanded_identity(n, moments) is want, (k, kind, tadpole, n)
+            verdicts = dg.renorm_identity_verdicts(moments)
+            assert verdicts == [dg.renorm_identity_holds(n, moments) for n in range(13)]
+            assert verdicts == [n < first for n in range(13)], (k, kind, tadpole)
             cases += 1
     assert cases >= 60
+
+
+def test_renorm_identity_verdicts_check_each_order_once():
+    moments = [dg.wick_moment(k) for k in range(21)]
+    verdicts = dg.renorm_identity_verdicts(moments)
+    assert verdicts == [dg.renorm_identity_holds(n, moments) for n in range(21)] == [True] * 21
+    assert dg.renorm_identity_verdicts([]) == []
+    with pytest.raises(ValueError):
+        dg.renorm_identity_verdicts(moments + [dg.wick_moment(21)])
+
+
+def test_cycle_index_terms_are_pinned():
+    # every loop type and matching count of moments 0..40, as a digest
+    digest = hashlib.sha256()
+    for k in range(41):
+        digest.update(repr(sorted(dg.wick_moment(k).terms.items())).encode())
+    assert digest.hexdigest() == "114d1a68acefe5c10f8149adf7942f5aa7b7cedd98f2cae3737cd6a01ffb4000"
 
 
 def test_single_mode_moment_values():
@@ -259,8 +280,8 @@ def _fraction_series(kind, order, loop_values, shift_value=0.0):
 def _assert_series_match_oracle(kind, order, loop_values, shift=0.0):
     try:
         want = _fraction_series(kind, order, loop_values, shift)
-    except dg.InfiniteCoefficient:
-        with pytest.raises(dg.InfiniteCoefficient):
+    except (dg.InfiniteCoefficient, OverflowError) as exc:
+        with pytest.raises(type(exc)):
             dg.series_coefficients(kind, order, loop_values, shift)
         return
     assert dg.series_coefficients(kind, order, loop_values, shift) == want
@@ -298,6 +319,18 @@ def test_series_match_fraction_recursion_on_rationals_ints_and_subnormals():
             order = rng.randint(0, 8)
             loops = [rng.choice(pool) for _ in range(2 * order + 1)]
             _assert_series_match_oracle(kind, order, loops, rng.choice(pool))
+
+
+def test_renormalized_series_match_the_binomial_shift_at_extreme_shifts():
+    # the shift enters as b1 = 2 shift; _fraction_series shifts the
+    # tadpole-free series by the binomial sum, which never doubles it
+    shifts = [0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308, F(1, 3), 1, -2, 3]
+    loops = [-0.5, F(2, 7), 1e-3, 3, 0.125]
+    for b1, shift, kind, order in itertools.product(
+        (0.75, dg.INFINITE), shifts, ("phi_renorm", "z_renorm"), range(4)
+    ):
+        _assert_series_match_oracle(kind, order, [b1] + loops, shift)
+    assert dg.series_coefficients("phi_renorm", 1, [dg.INFINITE], 1e308) == [1.0, 1e308]
 
 
 def test_runtime_imports_no_fractions():
