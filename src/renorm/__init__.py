@@ -20,7 +20,6 @@ from .diagrams import (
     MomentPolynomial,
     all_pairings,
     partial_sum_scan,
-    renorm_identity_holds,
     renorm_identity_verdicts,
     series_coefficients,
     wick_moment,
@@ -74,7 +73,6 @@ __all__ = [
     "all_pairings",
     "wick_moment",
     "wick_moment_by_pairings",
-    "renorm_identity_holds",
     "renorm_identity_verdicts",
     "series_coefficients",
     "partial_sum_scan",

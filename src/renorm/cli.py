@@ -111,7 +111,7 @@ def _renormalized_constant(cfg: RunConfig) -> float:
             f"no renormalized limit: sum of beta**-2 diverges for tail exponent {spec.tail_p}"
         )
     with _stage("kappa"):
-        return constant_part(spec, cfg.regulator, tol=cfg.tol)
+        return constant_part(spec, cfg.regulator)
 
 
 @click.group()
@@ -142,11 +142,11 @@ def spectrum(ctx):
     for k in range(1, 5):
         rows.append((f"B{k}", "yes" if spec.converges(k) else "no"))
     orders = [k for k in range(2, 5) if spec.converges(k)]
-    sums = dict(zip(orders, spec.inverse_power_sums(orders, cfg.tol)))
+    sums = dict(zip(orders, spec.inverse_power_sums(orders)))
     for k in range(2, 5):
         rows.append((f"b{k}", sums.get(k, "divergent")))
     rows.append(("singular_part", singular_description(spec)))
-    rows.append(("kappa", constant_part(spec, cfg.regulator, tol=cfg.tol)))
+    rows.append(("kappa", constant_part(spec, cfg.regulator)))
     for key, val in rows:
         click.echo(f"{key}: {tables.format_value(val)}")
     path = _emit(cfg, "spectrum_report", ["key", "value"], rows)
@@ -288,7 +288,7 @@ def diagrams(ctx, order):
     verdicts = list(enumerate(dg.renorm_identity_verdicts(full[:13])))
     shift_value = (kap - theta) / 2.0
     orders = [m for m in range(1, 2 * order + 1) if spec.converges(m)]
-    sums = dict(zip(orders, spec.inverse_power_sums(orders, cfg.tol)))
+    sums = dict(zip(orders, spec.inverse_power_sums(orders)))
     loop_values = [sums.get(m, dg.INFINITE) for m in range(1, 2 * order + 1)]
     series = {}
     for kind in dg.SERIES_KINDS:

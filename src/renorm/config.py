@@ -75,7 +75,7 @@ _DEFAULTS = {
     "lambda": 1.0,
     "s": 1.0,
     "order": 6,
-    "tol": 1e-8,
+    "tol": 1e-8,  # validated, then unused: every sum is exact to rounding
     "s_grid": {"min": 0.0, "max": 4.0, "count": 17},
     "lambda_grid": {"min": 1e3, "max": 1e5, "count": 3},
     "n_grid": {"min": 10, "max": 1000, "count": 3},
@@ -97,7 +97,6 @@ class RunConfig:
     lam: float
     s: float
     order: int
-    tol: float
     s_grid: GridSpec
     lambda_grid: GridSpec
     n_grid: GridSpec
@@ -147,7 +146,6 @@ class RunConfig:
             lam=lam,
             s=s,
             order=d["order"],
-            tol=tol,
             s_grid=GridSpec.from_dict(d["s_grid"], "s_grid"),
             lambda_grid=GridSpec.from_dict(d["lambda_grid"], "lambda_grid"),
             n_grid=GridSpec.from_dict(d["n_grid"], "n_grid"),

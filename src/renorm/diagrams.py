@@ -26,7 +26,6 @@ __all__ = [
     "all_pairings",
     "wick_moment",
     "wick_moment_by_pairings",
-    "renorm_identity_holds",
     "renorm_identity_verdicts",
     "series_coefficients",
     "partial_sum_scan",
@@ -197,26 +196,18 @@ def wick_moment_by_pairings(k: int) -> MomentPolynomial:
     return MomentPolynomial(k, counts)
 
 
-def renorm_identity_holds(n: int, moments=None) -> bool:
-    """Exact check of the rearrangement that finances the shift.
+def renorm_identity_verdicts(moments) -> list[bool]:
+    """Exact check of the rearrangement that finances the shift, at
+    every order n < len(moments), with ``moments[j]`` = wick_moment(j).
 
     The full moment of (source - zeta)^n equals the tadpole-free moment of
     (source + xi - zeta)^n, xi = b1/2, iff E_k holds for each k <= n (match
     powers of zeta; C(n,i) C(n-i,r) = C(n,r) C(n-r,i)): the b1^e part of
     moment k is C(k,e) 2^-e b1^e times the tadpole-free moment k-e.  Over
     the denominators 2^k and 2^(k-e) that is the integer statement
-    count_k[(e,) + rest] == C(k,e) count_(k-e)[(0,) + rest].  Uses
-    ``moments[j]`` = wick_moment(j), j <= n, if given.
+    count_k[(e,) + rest] == C(k,e) count_(k-e)[(0,) + rest].  Each E_k
+    is checked once: verdict n is the running AND of E_0..E_n.
     """
-    if not 0 <= n <= 20:
-        raise ValueError("identity check limited to n <= 20")
-    moments = [wick_moment(j) for j in range(n + 1)] if moments is None else moments[: n + 1]
-    return renorm_identity_verdicts(moments)[n]
-
-
-def renorm_identity_verdicts(moments) -> list[bool]:
-    """``renorm_identity_holds(n, moments)`` for every n < len(moments),
-    each E_k checked once: verdict n is the running AND of E_0..E_n."""
     if len(moments) > 21:
         raise ValueError("identity check limited to n <= 20")
     verdicts, holds = [], True

@@ -181,7 +181,7 @@ def finite(spec: Spectrum, lam: float, n: int, q: QuadratureConfig | None = None
     )
 
 
-def finite_bound(spec: Spectrum, lam: float, n: int, tol: float = 1e-10) -> float:
+def finite_bound(spec: Spectrum, lam: float, n: int) -> float:
     """Closed-form decay certificate: |finite(spec, lam, n)| never
     exceeds this bound.
 
@@ -194,7 +194,7 @@ def finite_bound(spec: Spectrum, lam: float, n: int, tol: float = 1e-10) -> floa
     if lam <= 0:
         raise ValueError("coupling must be positive")
     c_n = spec.partial_inverse_power(1, n)
-    b2 = spec.inverse_power_sum(2, tol)
+    b2 = spec.inverse_power_sum(2)
     mu = spec.min_value()
     e_abs = 2.0 * math.sqrt(lam / math.pi)
     e_sq = 2.0 * lam

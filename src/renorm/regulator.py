@@ -117,7 +117,7 @@ class DeformedSpectrum:
         """
         b = self.base.value(j)
         if isinstance(self.reg, SharpCutoff):
-            return b if b <= self.reg.a**2 * self.cutoff else math.inf
+            return b if b <= self._sharp_thresh else math.inf
         x = math.sqrt(b / self.cutoff)
         if x > 700.0:
             return math.inf
@@ -132,21 +132,53 @@ class DeformedSpectrum:
         return self._sharp_top
 
     @functools.cached_property
+    def _sharp_thresh(self) -> float:
+        """a**2 L, the largest surviving element."""
+        thresh = self.reg.a * self.reg.a * self.cutoff  # a**2 would raise on overflow
+        if thresh == math.inf:
+            raise NoConvergence(
+                f"sharp-cutoff threshold a**2 L leaves the float range at "
+                f"a = {self.reg.a} and L = {self.cutoff}"
+            )
+        return thresh
+
+    @functools.cached_property
     def _sharp_top(self) -> int:
         # once per instance: every survivor sum asks for it
         spec = self.base
-        thresh = self.reg.a**2 * self.cutoff
+        c, p, thresh = spec.tail_c, spec.tail_p, self._sharp_thresh
         first = spec.tail_start
         if spec.value(first) > thresh:
             return 0
-        m = int((thresh / spec.tail_c) ** (1.0 / spec.tail_p))
-        m = max(m, first)
-        # fix up float rounding at the boundary
-        while spec.tail_c * float(m + 1) ** spec.tail_p <= thresh:
-            m += 1
-        while m >= first and spec.tail_c * float(m) ** spec.tail_p > thresh:
-            m -= 1
-        return max(m, 0)
+        try:
+            m = max(int((thresh / c) ** (1.0 / p)), first)
+        except OverflowError:
+            raise NoConvergence(
+                f"sharp-cutoff survivor count leaves the float range at "
+                f"a = {self.reg.a} and L = {self.cutoff}"
+            ) from None
+        # the float guess is off by rounding, by ulp(m) or more past 2**53.
+        # Survival, c * float(j)**p <= thresh, is monotone in j: gallop
+        # from the guess to a bracket lo < hi of the boundary, then bisect,
+        # in about 2 log2 |guess - boundary| tests
+
+        def beyond(j: int) -> bool:
+            try:
+                return c * float(j) ** p > thresh
+            except OverflowError:  # past the float range, so past thresh
+                return True
+
+        lo, hi, step = m, m, 1
+        if beyond(m):
+            while beyond(lo):  # ends at first, a survivor
+                hi, lo, step = lo, max(m - step, first), 2 * step
+        else:
+            while not beyond(hi):
+                lo, hi, step = hi, m + step, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if beyond(mid) else (mid, hi)
+        return lo
 
     def _deformed_sum(self, f, series, s=0.0) -> np.ndarray:
         """``Spectrum._spectral_sum`` over the deformed elements: the
@@ -157,7 +189,7 @@ class DeformedSpectrum:
         if isinstance(self.reg, SharpCutoff):
             return spec._spectral_sum(
                 f, series, s, upper=max(self.sharp_tail_max_index(), spec.tail_start - 1),
-                thresh=self.reg.a**2 * self.cutoff,
+                thresh=self._sharp_thresh,
             )
         return spec._spectral_sum(f, series, s, exp_cutoff=self.cutoff)
 
@@ -216,22 +248,20 @@ def singular_description(spec: Spectrum) -> str:
     )
 
 
-def constant_part(spec: Spectrum, reg: Regulator, tol: float = 1e-8) -> float:
+def constant_part(spec: Spectrum, reg: Regulator) -> float:
     """Cutoff-independent part of the deformed reciprocal sum.
 
     The residue of G(w) L**w D(1+w) at w = 0, normalized as in
     :func:`singular_part`.  With H the head's reciprocal sum and m the
     first tail index it is, for tail exponent p > 1, the plain
-    reciprocal sum, exact to rounding (tol is only validated); for p =
-    1, H + (gamma - ln c + g0 - sum_{j<m} 1/j) / c; for p < 1, H +
-    (zeta(p) - sum_{j<m} j**-p) / c with the continued Riemann zeta,
-    the same for every profile.
+    reciprocal sum, exact to rounding; for p = 1, H + (gamma - ln c +
+    g0 - sum_{j<m} 1/j) / c; for p < 1, H + (zeta(p) - sum_{j<m}
+    j**-p) / c with the continued Riemann zeta, the same for every
+    profile.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     p, c = spec.tail_p, spec.tail_c
     if p > 1.0:
-        return spec.inverse_power_sum(1, tol)
+        return spec.inverse_power_sum(1)
     head = sum(1.0 / v for v in spec.head_values)
     below = range(1, spec.tail_start)
     if p == 1.0:

@@ -142,17 +142,16 @@ class Spectrum:
         """sum_{j<=n} beta_j**-k."""
         return float(self._spectral_sum(*_power((k,)), upper=n)[0])
 
-    def inverse_power_sum(self, k: int, tol: float = 1e-10) -> float:
+    def inverse_power_sum(self, k: int) -> float:
         """sum_j beta_j**-k: :meth:`inverse_power_sums` at one order."""
-        return self.inverse_power_sums((k,), tol)[0]
+        return self.inverse_power_sums((k,))[0]
 
-    def inverse_power_sums(self, orders, tol: float = 1e-10) -> list[float]:
+    def inverse_power_sums(self, orders) -> list[float]:
         """sum_j beta_j**-k for each order k, each exact to rounding.
 
-        The power-law tail is a Hurwitz zeta value, so tol is only
-        checked to be positive.  All orders share one pass over the
-        elements, one row each, and a sum does not depend on the other
-        orders asked for with it.
+        The power-law tail is a Hurwitz zeta value.  All orders share
+        one pass over the elements, one row each, and a sum does not
+        depend on the other orders asked for with it.
 
         Raises
         ------
@@ -161,8 +160,6 @@ class Spectrum:
         NoConvergence
             If a sum exceeds the float range.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
         orders = tuple(orders)
         for k in orders:
             if not self.converges(k):

@@ -7,62 +7,60 @@ PASS/FAIL line; the assertions carry the measured details.
 from renorm import verify
 
 
-def _run(fn):
-    result = fn(verify.DEFAULT_SEED)
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{result.number:2d}] {status} {result.name}: {result.detail}")
-    assert result.passed, f"criterion {result.number} ({result.name}): {result.detail}"
+def _run(number):
+    name, check = verify.CRITERIA[number - 1]
+    passed, detail = check(verify.DEFAULT_SEED)
+    print(f"[{number:2d}] {'PASS' if passed else 'FAIL'} {name}: {detail}")
+    assert passed, f"criterion {number} ({name}): {detail}"
 
 
 def test_criterion_01_exact_moments():
-    _run(verify.criterion_01_exact_moments)
+    _run(1)
 
 
 def test_criterion_02_pairing_oracle():
-    _run(verify.criterion_02_pairing_oracle)
+    _run(2)
 
 
 def test_criterion_03_renorm_identity():
-    _run(verify.criterion_03_renorm_identity)
+    _run(3)
 
 
 def test_criterion_04_single_mode():
-    _run(verify.criterion_04_single_mode)
+    _run(4)
 
 
 def test_criterion_05_quadrature_oracle():
-    _run(verify.criterion_05_quadrature_oracle)
+    _run(5)
 
 
 def test_criterion_06_modulus_bounds():
-    _run(verify.criterion_06_modulus_bounds)
+    _run(6)
 
 
 def test_criterion_07_partition_decay():
-    _run(verify.criterion_07_partition_decay)
+    _run(7)
 
 
 def test_criterion_08_mc_cross_check():
-    _run(verify.criterion_08_mc_cross_check)
+    _run(8)
 
 
 def test_criterion_09_flow_convergence():
-    _run(verify.criterion_09_flow_convergence)
+    _run(9)
 
 
 def test_criterion_10_kappa_recovery():
-    _run(verify.criterion_10_kappa_recovery)
+    _run(10)
 
 
 def test_criterion_11_cross_track():
-    _run(verify.criterion_11_cross_track)
+    _run(11)
 
 
 def test_criterion_12_determinism():
-    results, first = verify.build_core(verify.DEFAULT_SEED)
+    _, first = verify.build_core(verify.DEFAULT_SEED)
     _, second = verify.build_core(verify.DEFAULT_SEED)
     ok = first == second
-    print(f"[12] {'PASS' if ok else 'FAIL'} determinism: core report bytes stable")
+    print(f"[12] {'PASS' if ok else 'FAIL'} {verify.CRITERIA[11][0]}: core report bytes stable")
     assert ok
-    # the listing names are the ones the report actually uses
-    assert [r.name for r in results] == verify.CRITERION_NAMES[:11]

@@ -59,7 +59,7 @@ def test_sections_monotone_decreasing_random():
 
 
 def test_modulus_lower_bound():
-    b2 = float(HARMONIC.inverse_power_sum(2, 1e-12))
+    b2 = float(HARMONIC.inverse_power_sum(2))
     for s in (0.25, 1.0, 4.0):
         f = np.exp(ch.renormalized_log(HARMONIC, 0.0, s).real)
         assert math.exp(-s * s * b2 / 4.0) <= f < 1.0
@@ -370,7 +370,7 @@ def test_renormalized_at_zero_and_conjugation():
 def test_renormalization_preserves_existing_limit():
     # when the plain limit exists, renormalizing with the full
     # reciprocal sum as constant part and no extra phase returns it
-    b1 = SQUARES.inverse_power_sum(1, 1e-13)
+    b1 = SQUARES.inverse_power_sum(1)
     for s in (1.0, -2.2):
         lim = cmath.exp(ch.finite_log(SQUARES, s, 10**6))
         got = cmath.exp(ch.renormalized_log(SQUARES, b1, s))
@@ -559,7 +559,7 @@ def test_flow_modulus_ignores_counterterm():
 
 
 def test_flow_converges_to_renormalized_limit():
-    kap = rn.constant_part(HARMONIC, SHARP, tol=1e-9)
+    kap = rn.constant_part(HARMONIC, SHARP)
     for s in (0.5, 1.0, 2.0):
         ref = cmath.exp(ch.renormalized_log(HARMONIC, kap, s))
         dists = []
@@ -620,7 +620,7 @@ def test_flow_distances_match_gamma_closed_forms():
 
 
 def test_flow_converges_with_exponential_profile():
-    kap = rn.constant_part(HARMONIC, rn.Exponential(), tol=1e-5)
+    kap = rn.constant_part(HARMONIC, rn.Exponential())
     ref = cmath.exp(ch.renormalized_log(HARMONIC, kap, 1.0))
     dists = []
     for lam_cut in (1e2, 1e3, 1e4):

@@ -145,6 +145,30 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, overrides, me
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
+@pytest.mark.parametrize("tol", [0, -1.0, "tight", None])
+def test_invalid_tol_exits_2(tmp_path, tol):
+    cfg = _write_config(tmp_path, {"tol": tol})
+    result = RUNNER.invoke(main, ["--config", str(cfg), "spectrum"])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "tol must be" in result.output
+
+
+def test_tol_changes_no_output(tmp_path):
+    # the key is validated and then unused: every sum is exact to rounding
+    outputs = []
+    for i, overrides in enumerate(({}, {"tol": 1e-3}, {"tol": 1e-14})):
+        out = tmp_path / str(i)
+        out.mkdir()
+        cfg = _write_config(out, overrides)
+        for command in ("spectrum", "diagrams"):
+            result = RUNNER.invoke(main, ["--config", str(cfg), command])
+            assert result.exit_code == 0, result.output
+        outputs.append({p.name: p.read_bytes() for p in sorted((out / "out").iterdir())})
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize(
     "mc, field",
     [
@@ -310,6 +334,31 @@ def test_inverse_power_sum_past_the_float_range_exits_3(tmp_path, head, command,
     assert "inverse-power sum exceeds the float range" in result.output
     assert "inf" not in result.output
     assert not (tmp_path / "out").exists() or list((tmp_path / "out").glob("*")) == []
+
+
+def test_flow_at_huge_sharp_cutoffs(tmp_path):
+    # 1e24 and 1e300 survivors: the boundary search stops where floats
+    # no longer tell neighbouring indices apart
+    grid = {"lambda_grid": {"min": 1e24, "max": 1e300, "count": 2}}
+    cfg = _write_config(tmp_path, grid)
+    t0 = time.perf_counter()
+    result = RUNNER.invoke(main, ["--config", str(cfg), "flow"])
+    assert result.exit_code == 0, result.output
+    assert time.perf_counter() - t0 < 20.0
+    header, rows = tables.read_csv(tmp_path / "out" / "flow_z.csv")
+    cut, err = header.index("Lambda"), header.index("abs_error")
+    assert {r[cut] for r in rows} == {1e24, 1e300}
+    assert max(abs(r[err]) for r in rows) <= 1e-13
+
+
+@pytest.mark.parametrize("command", ["flow", "phi"])
+def test_sharp_threshold_past_the_float_range_exits_3(tmp_path, command):
+    cfg = _write_config(tmp_path, {"regulator": {"kind": "sharp_cutoff", "a": 1e200}})
+    result = RUNNER.invoke(main, ["--config", str(cfg), command])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "a = 1e+200" in result.output
 
 
 def test_extreme_scales_raise_no_overflow_warning(tmp_path):

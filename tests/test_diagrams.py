@@ -22,6 +22,7 @@ from renorm import characteristic as ch
 from renorm import diagrams as dg
 from renorm import tables
 from renorm.cli import main
+from renorm.spectrum import _power
 
 
 def _zpoly(moment):
@@ -142,8 +143,7 @@ def test_shifted_moment_grading():
 
 
 def test_renorm_identity_small_orders():
-    for n in range(9):
-        assert dg.renorm_identity_holds(n)
+    assert dg.renorm_identity_verdicts([dg.wick_moment(k) for k in range(9)]) == [True] * 9
 
 
 def test_renorm_identity_hand_expansion_n2():
@@ -172,8 +172,8 @@ MOMENTS = [dg.wick_moment(k) for k in range(13)]
 
 
 def test_renorm_identity_matches_expansion_on_true_moments():
+    assert dg.renorm_identity_verdicts(MOMENTS) == [True] * 13
     for n in range(13):
-        assert dg.renorm_identity_holds(n, MOMENTS) is True
         assert _expanded_identity(n, MOMENTS) is True
 
 
@@ -217,11 +217,8 @@ def test_renorm_identity_matches_expansion_on_corrupted_moments():
             moments = _corrupted(k, kind, tadpole, rng)
             first = k if tadpole else k + 1
             for n in range(12):
-                want = n < first
-                assert dg.renorm_identity_holds(n, moments) is want, (k, kind, tadpole, n)
-                assert _expanded_identity(n, moments) is want, (k, kind, tadpole, n)
+                assert _expanded_identity(n, moments) is (n < first), (k, kind, tadpole, n)
             verdicts = dg.renorm_identity_verdicts(moments)
-            assert verdicts == [dg.renorm_identity_holds(n, moments) for n in range(13)]
             assert verdicts == [n < first for n in range(13)], (k, kind, tadpole)
             cases += 1
     assert cases >= 60
@@ -229,8 +226,7 @@ def test_renorm_identity_matches_expansion_on_corrupted_moments():
 
 def test_renorm_identity_verdicts_check_each_order_once():
     moments = [dg.wick_moment(k) for k in range(21)]
-    verdicts = dg.renorm_identity_verdicts(moments)
-    assert verdicts == [dg.renorm_identity_holds(n, moments) for n in range(21)] == [True] * 21
+    assert dg.renorm_identity_verdicts(moments) == [True] * 21
     assert dg.renorm_identity_verdicts([]) == []
     with pytest.raises(ValueError):
         dg.renorm_identity_verdicts(moments + [dg.wick_moment(21)])
@@ -517,7 +513,7 @@ def test_order_limits():
     with pytest.raises(ValueError):
         dg.wick_moment_by_pairings(9)
     with pytest.raises(ValueError):
-        dg.renorm_identity_holds(21)
+        dg.renorm_identity_verdicts([dg.wick_moment(0)] * 22)
     with pytest.raises(ValueError):
         dg.partial_sum_scan(0.5, 301)
 
@@ -570,3 +566,26 @@ def test_plain_series_sums_to_the_analytic_product():
     for s, bound in _disc_points(spec.min_value()):
         want = cmath.exp(ch.renormalized_log(spec, loop_values[0], s))
         assert abs(_series_value(coeffs, s) - want) <= bound
+
+
+@pytest.mark.parametrize("reg", [rn.SharpCutoff(1.0), rn.Exponential()], ids=["sharp", "exp"])
+@pytest.mark.parametrize("spec", [rn.PowerLaw(1.0, 1.0), rn.ExplicitWithTail([0.7, 2.5], 1.3, 1.0)],
+                         ids=["harmonic", "head"])
+def test_series_sum_to_the_deformed_product_at_finite_cutoff(spec, reg):
+    # at a finite cutoff every loop value b_m(L) is finite: the plain
+    # series is the deformed product, and the renormalized series with
+    # shift (b1(L) - singular part - theta) / 2 is the flow; only b1(L)
+    # diverges as L grows, and the shift absorbs it
+    for cutoff in (1e3, 1e4, 1e5):
+        d = rn.DeformedSpectrum(spec, reg, cutoff)
+        loop_values = d._deformed_sum(*_power(range(1, 41))).tolist()
+        plain = dg.series_coefficients("phi", 40, loop_values)
+        for theta in (0.0, 1.0):
+            shift = (loop_values[0] - rn.singular_part(d) - theta) / 2.0
+            renormalized = dg.series_coefficients("phi_renorm", 40, loop_values, shift)
+            for x in (0.05, 0.2, 0.4):
+                s = x * spec.min_value()
+                for coeffs, log in ((plain, ch.deformed_log(d, s)),
+                                    (renormalized, ch.flow_log(d, s, theta))):
+                    want = cmath.exp(log)
+                    assert abs(_series_value(coeffs, s) - want) <= 1e-14 * abs(want)

@@ -98,7 +98,7 @@ def test_bound_no_decay_for_summable_spectrum():
 def test_bound_closed_form_matches_quadrature():
     lam, n = 0.7, 25
     c_n = HARMONIC.partial_inverse_power(1, n)
-    b2 = HARMONIC.inverse_power_sum(2, 1e-12)
+    b2 = HARMONIC.inverse_power_sum(2)
     mu = HARMONIC.min_value()
 
     def env(s):

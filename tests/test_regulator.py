@@ -119,33 +119,33 @@ def test_singular_part_matches_inverse_sum_growth():
 
 
 def test_constant_part_harmonic_sharp_is_gamma():
-    kap = rn.constant_part(HARMONIC, SHARP, tol=1e-9)
+    kap = rn.constant_part(HARMONIC, SHARP)
     assert abs(kap - GAMMA) <= 1e-12
 
 
 def test_constant_part_scaled_harmonic():
-    kap = rn.constant_part(rn.PowerLaw(2.0, 1.0), SHARP, tol=1e-9)
+    kap = rn.constant_part(rn.PowerLaw(2.0, 1.0), SHARP)
     assert abs(kap - (GAMMA - math.log(2.0)) / 2.0) <= 1e-12
 
 
 def test_constant_part_summable_spectrum_is_plain_sum():
     ref = math.pi**2 / 6.0
-    assert abs(rn.constant_part(SQUARES, SHARP, tol=1e-13) - ref) <= 1e-12
-    assert abs(rn.constant_part(SQUARES, rn.Exponential(), tol=1e-13) - ref) <= 1e-12
+    assert abs(rn.constant_part(SQUARES, SHARP) - ref) <= 1e-12
+    assert abs(rn.constant_part(SQUARES, rn.Exponential()) - ref) <= 1e-12
 
 
 def test_constant_part_depends_on_profile_width():
     # widening the sharp window by a shifts the constant by 2 ln(a) / c
     for a, c in ((2.0, 1.0), (0.5, 2.0), (1.155, 0.948)):
         spec = rn.PowerLaw(c, 1.0)
-        ka = rn.constant_part(spec, rn.SharpCutoff(a), tol=1e-8)
-        k1 = rn.constant_part(spec, rn.SharpCutoff(1.0), tol=1e-8)
+        ka = rn.constant_part(spec, rn.SharpCutoff(a))
+        k1 = rn.constant_part(spec, rn.SharpCutoff(1.0))
         assert abs((ka - k1) - 2.0 * math.log(a) / c) <= 1e-12
 
 
 def test_constant_part_exponential_profile_differs():
     # same spectrum, different profile: the constant flips to -gamma
-    kap = rn.constant_part(HARMONIC, rn.Exponential(), tol=1e-5)
+    kap = rn.constant_part(HARMONIC, rn.Exponential())
     assert abs(kap - (-GAMMA)) <= 1e-12
 
 
@@ -153,7 +153,7 @@ def test_constant_part_sublinear_tail():
     # tail exponent 0.7: the constant is the analytically continued
     # inverse-power sum at the tail exponent, for every profile and width
     for reg in (SHARP, rn.SharpCutoff(2.0), rn.Exponential()):
-        kap = rn.constant_part(rn.PowerLaw(1.0, 0.7), reg, tol=1e-3)
+        kap = rn.constant_part(rn.PowerLaw(1.0, 0.7), reg)
         assert abs(kap - float(zeta(0.7))) <= 1e-12
         kap = rn.constant_part(rn.ExplicitWithTail([3.0], 2.0, 0.7), reg)
         assert abs(kap - (1 / 3 + (float(zeta(0.7)) - 1) / 2)) <= 1e-12
@@ -163,7 +163,7 @@ def test_constant_part_shifts_exactly_with_head_distortion():
     # replacing finitely many elements moves the constant part by the
     # exact difference of the reciprocals
     spec = rn.ExplicitWithTail([10.0, 20.0], 1.0, 1.0)
-    kap = rn.constant_part(spec, SHARP, tol=1e-9)
+    kap = rn.constant_part(spec, SHARP)
     expect = GAMMA + (1.0 / 10.0 - 1.0) + (1.0 / 20.0 - 0.5)
     assert abs(kap - expect) <= 1e-12
 
@@ -319,6 +319,47 @@ def test_sharp_tail_index_brackets_threshold():
         assert spec.value(m + 1) > thresh
 
 
+def test_sharp_tail_index_is_exact_where_floats_resolve_it():
+    # up to cutoff 1e15 every boundary index is below 2**53, where
+    # neighbouring indices have distinct values
+    rng = np.random.default_rng(2718)
+    for _ in range(200):
+        spec = rn.PowerLaw(rng.uniform(0.5, 5.0), rng.uniform(1.0, 2.5))
+        cutoff = 10.0 ** rng.uniform(6.0, 15.0)
+        m = rn.DeformedSpectrum(spec, SHARP, cutoff).sharp_tail_max_index()
+        assert spec.value(m) <= cutoff < spec.value(m + 1)
+    for cutoff, top in ((1e15, 10**15), (1e15 - 0.5, 10**15 - 1)):
+        assert rn.DeformedSpectrum(HARMONIC, SHARP, cutoff).sharp_tail_max_index() == top
+    squares = rn.DeformedSpectrum(SQUARES, SHARP, 1e15)
+    assert squares.sharp_tail_max_index() == math.isqrt(10**15)
+
+
+@pytest.mark.parametrize("cutoff", [1e24, 1e300])
+def test_sharp_tail_index_at_huge_cutoffs_returns_at_once(cutoff):
+    # past 2**53 survivors neighbouring indices round to one value, and
+    # the boundary search stops where floats no longer tell them apart
+    for spec in (HARMONIC, rn.PowerLaw(3.0, 1.0), SQUARES):
+        t0 = time.perf_counter()
+        m = rn.DeformedSpectrum(spec, SHARP, cutoff).sharp_tail_max_index()
+        assert time.perf_counter() - t0 < 1.0
+        assert spec.value(m) == pytest.approx(cutoff, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "reg, p, lam_cut, what",
+    [
+        (rn.SharpCutoff(1e200), 1.0, 1e3, "threshold"),  # a * a overflows
+        (SHARP, 0.7, 1e300, "survivor count"),  # L**(1/p) overflows
+    ],
+)
+def test_sharp_cutoff_out_of_float_range_is_no_convergence(reg, p, lam_cut, what):
+    d = rn.DeformedSpectrum(rn.PowerLaw(1.0, p), reg, lam_cut)
+    for call in (d.sharp_tail_max_index, d.inverse_sum):
+        with pytest.raises(rn.NoConvergence, match=what) as info:
+            call()
+        assert f"a = {reg.a} and L = {lam_cut}" in str(info.value)
+
+
 def test_deformation_never_shrinks_elements():
     for reg in (SHARP, rn.Exponential()):
         d = rn.DeformedSpectrum(HARMONIC, reg, 37.0)
@@ -335,7 +376,7 @@ def test_sharp_inverse_sum_monotone_in_cutoff():
 
 
 def test_remainder_vanishes_with_cutoff():
-    kap = rn.constant_part(HARMONIC, SHARP, tol=1e-9)
+    kap = rn.constant_part(HARMONIC, SHARP)
     gaps = []
     for lam in (1e3, 1e4, 1e5):
         d = rn.DeformedSpectrum(HARMONIC, SHARP, lam)
