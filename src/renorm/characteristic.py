@@ -83,28 +83,33 @@ def finite_by_quadrature(
 
 def _log_terms(first: int):
     """The summand log(1 + w), w = -i s/beta, less w for first = 2, as
-    the rows 2 Re and Im of a spectral sum, and its tail series
-    -sum_{m>=first} (i s/b)**m (b/beta)**m / m.  On the strip Im s >
-    -beta, 1 + Re w > 0: 2 Re is log1p(|1 + w|**2 - 1), or log |1 +
-    w|**2 where Re w < -1/2, and Im is arctan(Im w / (1 + Re w)).
+    the rows 2 Re and Im of a spectral sum, its tail series
+    -sum_{m>=first} (i s/b)**m (b/beta)**m / m, and its continuation to
+    complex beta.  On the strip Im s > -beta, 1 + Re w > 0: 2 Re is
+    log1p(|1 + w|**2 - 1), or log |1 + w|**2 where Re w < -1/2, and Im
+    is arctan(Im w / (1 + Re w)); where |w|**2 would overflow, 2 Re is
+    2 log hypot(1 + Re w, Im w).
     """
 
     def rows(s, beta):
         x = -s.real / beta  # Im w
         y = s.imag / beta  # Re w
         re, im = out = np.empty((2,) + x.shape)
-        # in place: a temporary the size of the block costs as much as a pass
-        np.multiply(np.add(y, 2.0, out=re), y, out=re)
-        re += np.multiply(x, x, out=im)
-        np.add(y, 1.0, out=im)
-        if y.min(initial=0.0) < -0.5:
-            # there beta + Im s is exact, and log |1 + w|**2 does not cancel
-            edge = y < -0.5
-            np.log1p(re, out=re, where=~edge)
-            im[edge] = ((beta + s.imag) / beta)[edge]
-            re[edge] = np.log(im[edge] ** 2 + x[edge] ** 2)
+        if 1e-150 * np.abs(s).max(initial=0.0) > beta.min(initial=math.inf):
+            re[...] = 2.0 * np.log(np.hypot(np.add(y, 1.0, out=im), x))
         else:
-            np.log1p(re, out=re)
+            # in place: a temporary the size of the block costs as much as a pass
+            np.multiply(np.add(y, 2.0, out=re), y, out=re)
+            re += np.multiply(x, x, out=im)
+            np.add(y, 1.0, out=im)
+            if y.min(initial=0.0) < -0.5:
+                # there beta + Im s is exact, and log |1 + w|**2 does not cancel
+                edge = y < -0.5
+                np.log1p(re, out=re, where=~edge)
+                im[edge] = ((beta + s.imag) / beta)[edge]
+                re[edge] = np.log(im[edge] ** 2 + x[edge] ** 2)
+            else:
+                np.log1p(re, out=re)
         np.arctan(np.divide(x, im, out=im), out=im)
         if first == 2:
             re -= np.multiply(y, 2.0, out=y)
@@ -118,7 +123,25 @@ def _log_terms(first: int):
         powers = np.cumprod(ladder, axis=1)[:, first - 1 :]
         return orders, np.array((powers.real, powers.imag)) * scale[:, None, :]
 
-    return rows, series
+    def analytic(s, beta):
+        # 2 log(1 + w) and -i log(1 + w) at |Re s| + i Im s, the odd row
+        # times sign(Re s), so that the rows at -conj(s) keep their
+        # symmetry to the bit; log |1 + w| as in the rows where |w| < 1,
+        # as numpy's complex log1p loses digits there.  For first = 2
+        # each row loses only the part of w real on the real axis: the
+        # rest adds nothing there, and would cancel on the circles
+        w = (s.imag - 1j * np.abs(s.real)) / beta
+        log = np.log(1.0 + w)
+        small = np.abs(w) < 1.0
+        ws = w[small]
+        log.real[small] = 0.5 * np.log1p(ws.real * (ws.real + 2.0) + ws.imag * ws.imag)
+        odd = -1j * log
+        if first == 2:
+            log -= s.imag / beta
+            odd += np.abs(s.real) / beta
+        return np.array((2.0 * log, np.sign(s.real) * odd))
+
+    return rows, series, analytic
 
 
 @functools.lru_cache(maxsize=64)

@@ -2,7 +2,8 @@
 
 Emits data tables only (CSV or JSON); plotting belongs to external
 tools.  Exit codes: 0 success, 1 verification failure, 2 configuration
-error, 3 numeric failure (quadrature tolerance or term budget).
+error, 3 numeric failure (quadrature tolerance, or a sum past 2**53 or the
+float range).
 """
 
 from __future__ import annotations

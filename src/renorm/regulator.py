@@ -180,7 +180,7 @@ class DeformedSpectrum:
             lo, hi = (lo, mid) if beyond(mid) else (mid, hi)
         return lo
 
-    def _deformed_sum(self, f, series, s=0.0) -> np.ndarray:
+    def _deformed_sum(self, f, series, analytic, s=0.0) -> np.ndarray:
         """``Spectrum._spectral_sum`` over the deformed elements: the
         sharp cutoff's survivors, the tail ending at
         :meth:`sharp_tail_max_index`, or the exponentially deformed
@@ -188,10 +188,10 @@ class DeformedSpectrum:
         spec = self.base
         if isinstance(self.reg, SharpCutoff):
             return spec._spectral_sum(
-                f, series, s, upper=max(self.sharp_tail_max_index(), spec.tail_start - 1),
+                f, series, analytic, s, upper=max(self.sharp_tail_max_index(), spec.tail_start - 1),
                 thresh=self._sharp_thresh,
             )
-        return spec._spectral_sum(f, series, s, exp_cutoff=self.cutoff)
+        return spec._spectral_sum(f, series, analytic, s, exp_cutoff=self.cutoff)
 
     # -- reciprocal sum -----------------------------------------------------
 

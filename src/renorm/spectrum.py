@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 __all__ = [
@@ -31,9 +32,8 @@ _CHUNK = 1 << 20
 # Node-by-element pairs one step of a batched sum evaluates at most, so
 # that many nodes against a long direct head stay in bounded memory.
 _BATCH = 1 << 16
-# Hard stop for direct summation; sums needing more direct terms than
-# this are refused rather than silently degraded.
-_MAX_TERMS = 1 << 28
+# Float indices are exact up to 2**53; sums reaching past it are refused.
+_EXACT = 1 << 53
 # Tail indices an s-free sum (and the exponential profile) sums directly
 # before the closed form takes over; from index 257 on five Bernoulli
 # terms give the tail to rounding.
@@ -59,7 +59,8 @@ class DivergentSum(Exception):
 
 
 class NoConvergence(Exception):
-    """A truncated sum exceeded its term budget."""
+    """A sum needs indices past 2**53, where float indices stop being
+    exact, or its value leaves the float range."""
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,7 @@ class Spectrum:
         self,
         f,
         series,
+        analytic,
         s=0.0,
         upper=math.inf,
         thresh: float = math.inf,
@@ -196,23 +198,25 @@ class Spectrum:
         of shape (rows, nodes, len(block)), one row per summand, so
         several sums over the same elements share one pass; the nodes go
         in slices of at most ``_BATCH`` node-element pairs per block (one
-        node at a time against blocks longer than that).  Elements up
-        to the tail index J = max(32, first j with radius / beta_{j+1}
-        <= 1/2), 256 for an s-free sum (radius 0), and never before the
-        explicit head ends, capped at ``upper``, are summed directly,
-        block by block, and masked by ``thresh``; past J the caller
-        caps ``upper`` at the threshold.  The nodes are summed in runs
-        of ascending |s|, each with radius = its largest |s| (see
-        :meth:`_runs`).  Past J, ``series(s, b, K)`` gives the orders
-        m, one tuple for all rows, and the real weights w, an array of
-        shape (rows, nodes, orders) (one node, broadcast, for a summand
-        free of s), with row i of f(s, beta) = sum_k w_ik (b/beta)**m_k,
-        b = beta_{J+1}, truncated past order 2K in radius/beta; each
-        order is summed once, in closed form and free of s, for every
-        row and node.  K follows from the geometric bound
-        (radius/b)**(2K) <= 4**-K <= 2**-56 / n, with n the tail length
-        (2 (J+1) for an infinite tail, which bounds sum_{j>J}
-        (b/beta_j)**m once m p >= 2), so each sum is exact to rounding.
+        node at a time against blocks longer than that).  One plan, set
+        by radius = the largest |s|, serves every node.  The elements up
+        to the floor, 32 (256 for an s-free sum) and never before the
+        explicit head ends, are summed directly, block by block, and
+        masked by ``thresh``; past it the caller caps ``upper`` at the
+        threshold.  From there to the tail index J = first j with
+        radius / beta_{j+1} <= 1/2, capped at ``upper``, :meth:`_bridge`
+        sums each row at O(log J) points per node (or the terms do,
+        where fewer), with ``analytic`` (f if None) the summand at
+        complex beta, whose real parts at real beta are the rows.  Past
+        J, ``series(s, b, K)`` gives the orders m, one tuple for all
+        rows, and the real weights w, of shape (rows, nodes, orders)
+        (one node, broadcast, for a summand free of s), with row i of
+        f(s, beta) = sum_k w_ik (b/beta)**m_k, b = beta_{J+1}, cut past
+        order 2K in radius/beta; each order is summed once, in closed
+        form and free of s, for every row and node.  K follows from
+        (radius/b)**(2K) <= 4**-K <= 2**-56 / n, n the tail length (2
+        (J+1) for an infinite tail, which bounds sum_{j>J} (b/beta_j)**m
+        once m p >= 2), so each sum is exact to rounding.
 
         With ``exp_cutoff`` L the sums run over the exponentially
         deformed elements beta_j e^{x_j}, x_j = sqrt(beta_j / L), to
@@ -222,9 +226,10 @@ class Spectrum:
         tail sums are :func:`_exp_power_tail`'s.
 
         Raises ValueError if a node is not finite or lies on or below
-        the branch points, NoConvergence, before summing, if J exceeds
-        the term budget, or if the deformed tail sums overflow, and
-        DivergentSum if an infinite tail diverges.
+        the branch points, NoConvergence, before summing, if min(J,
+        upper) passes 2**53, where float indices stop being exact, or if
+        the deformed tail sums overflow, and DivergentSum if an infinite
+        tail diverges.
         """
         shape = np.shape(s)
         nodes = np.ravel(s).astype(complex if np.iscomplexobj(s) else float, copy=False)
@@ -235,71 +240,45 @@ class Spectrum:
             if below.size:
                 raise ValueError(f"argument s = {below[0]} is on or below the branch "
                                  f"points: need Im s > -mu = {-self.min_value():g}")
-        runs = self._runs(np.abs(nodes), upper, exp_cutoff)
-        parts = [self._run(f, series, nodes[run], upper, thresh, exp_cutoff) for run in runs]
-        total = np.empty((parts[0].shape[0], len(nodes)))
-        total[:, np.concatenate(runs)] = np.concatenate(parts, axis=1)
-        return total.reshape(total.shape[:1] + shape)
-
-    def _plan(self, radius: float, upper, exp_cutoff: float | None):
-        """The tail index J of a sum at |s| <= radius, and its upper end
-        (cut to J when no series follows)."""
         c, p = self.tail_c, self.tail_p
-        if exp_cutoff is not None:
-            return _exp_head(c, p, self.tail_start - 1, max(radius, c), exp_cutoff)
-        if radius == 0.0:
-            return max(_HEAD_TERMS, self.tail_start - 1), upper
-        need = (math.log(2.0 * radius) - math.log(c)) / p
-        return max(_NODE_HEAD, self.tail_start - 1, math.ceil(math.exp(min(need, 100.0)))), upper
-
-    def _runs(self, radii: np.ndarray, upper, exp_cutoff: float | None) -> list[np.ndarray]:
-        """The node indices in ascending |s|, cut into runs in which
-        every node's own direct range, min(J, upper), is over half that
-        of the run's largest |s|; one run, in the given order, when the
-        smallest |s| already qualifies.  So a node sums at most twice
-        its own direct terms, there are at most 1 + log2(largest range
-        / smallest range) runs, and each is found by bisection."""
-
-        def cost(radius):
-            return min(self._plan(float(radius), upper, exp_cutoff))
-
-        top = cost(np.max(radii, initial=0.0))
-        if 2 * cost(np.min(radii, initial=0.0)) > top:
-            return [np.arange(len(radii))]
-        order = np.argsort(radii, kind="stable")
-        ordered = radii[order]
-        runs, hi = [], len(ordered)
-        while hi > 0:
-            top = cost(ordered[hi - 1])
-            # cost(ordered[first]) > top / 2 >= cost(ordered[lo]), lo = -1
-            # standing for a node before the first
-            lo, first = -1, hi - 1
-            while first - lo > 1:
-                mid = (lo + first) // 2
-                if 2 * cost(ordered[mid]) > top:
-                    first = mid
-                else:
-                    lo = mid
-            runs.append(order[first:hi])
-            hi = first
-        return runs
-
-    def _run(self, f, series, nodes, upper, thresh, exp_cutoff) -> np.ndarray:
-        """:meth:`_spectral_sum` at the 1-D ``nodes``, all with the plan
-        of the largest |s|; shape (rows, nodes)."""
         radius = float(np.max(np.abs(nodes), initial=0.0))
-        c, p = self.tail_c, self.tail_p
-        far, upper = self._plan(radius, upper, exp_cutoff)
+        floor = max(_NODE_HEAD if radius and exp_cutoff is None else _HEAD_TERMS,
+                    self.tail_start - 1)
+        if exp_cutoff is not None:
+            far, upper = _exp_head(c, p, self.tail_start - 1, max(radius, c), exp_cutoff)
+        else:
+            far = max(floor, _index(math.log(2.0 * radius) - math.log(c), p) if radius else 0)
         last = min(far, upper)
-        if last > _MAX_TERMS:
-            raise NoConvergence(
-                f"sum at |s| = {radius:g} needs more than {_MAX_TERMS} direct terms"
-            )
+        if last > _EXACT:
+            raise NoConvergence(f"sum at |s| = {radius:g} needs indices past 2**53")
+
+        def deformed(beta):
+            if exp_cutoff is None:
+                return beta
+            with np.errstate(over="ignore"):  # an element past the float range adds 0
+                return beta * np.exp(np.sqrt(beta / exp_cutoff))
+
+        # the summand is analytic within pi/3 of the real log beta axis
+        # once beta >= e**(pi/3) |s| for the nodes with i s within pi/3
+        # of the positive axis (they have |s| < 2 mu)
+        near = np.abs(nodes[-nodes.imag > 0.5 * np.abs(nodes)])
+        if near.size:
+            floor = max(floor, _index(math.pi / 3.0 + math.log(near.max()) - math.log(c), p))
         total = 0.0
+        if last > floor:
+            points, weights, ring, ring_weights = self._bridge(floor + 1, last, exp_cutoff)
+            if points.size + ring.size < last - floor:  # else cheaper term by term
+                beta, ring = deformed(c * points**p), deformed(c * ring**p)
+                analytic = analytic or f
+
+                def bridge(part):
+                    part = part[:, None]
+                    return np.add.reduce(f(part, beta) * weights, axis=-1) + np.add.reduce(
+                        analytic(part, ring) * ring_weights, axis=-1).real
+
+                total, last = _by_nodes(bridge, nodes, beta.size + ring.size), floor
         for block in self.chunks(last):
-            if exp_cutoff is not None:
-                with np.errstate(over="ignore"):
-                    block = block * np.exp(np.sqrt(block / exp_cutoff))
+            block = deformed(block)
             kept = block[block <= thresh]
             total = total + _by_nodes(
                 lambda part: np.add.reduce(f(part[:, None], kept), axis=-1), nodes, kept.size
@@ -327,7 +306,59 @@ class Spectrum:
                 return np.einsum("rnk,k->rn", weights, sums)
 
             total = total + _by_nodes(tail, nodes, terms)
-        return total
+        return total.reshape(total.shape[:1] + shape)
+
+    def _bridge(self, lo: int, hi: int, exp_cutoff: float | None):
+        """Euler-Maclaurin for a row sum over lo <= j <= hi (DLMF 2.10.1),
+        int_lo^hi h + (h(lo) + h(hi)) / 2 + sum_{k<=10} B_2k / (2k)!
+        (h^(2k-1)(hi) - h^(2k-1)(lo)), as real indices and weights for
+        the rows and complex ones for the analytic summand.  The summand
+        is analytic within pi/3 of the real log beta axis, and log beta
+        moves by kappa <= p (1 + x_j) per unit of u = log j: so the
+        integral is 16-point Gauss-Legendre on panels 1/2 wide in log
+        beta, and the odd derivatives are Taylor coefficients from 64
+        points on a circle of radius rho j <= 4 around each end (Bornemann,
+        Found. Comput. Math. 11, 2011), with -log(1 - rho) = pi / (6
+        kappa) for aliasing near 2**-64."""
+        c, p = self.tail_c, self.tail_p
+        shift = math.inf if exp_cutoff is None else math.log(exp_cutoff) - math.log(c)
+
+        def kappa(u: float) -> float:  # p (1 + x_j) at j = e**u
+            return p * (1.0 + math.exp(0.5 * (p * u - shift)))
+
+        edges, top = [math.log(lo)], math.log(hi)
+        while edges[-1] < top:
+            edges.append(edges[-1] + 0.5 / kappa(edges[-1]))
+        # each panel's points from its left end: an absolute u = log j
+        # would carry u units of rounding into j
+        edges[-1] = top
+        edges = np.exp(edges)
+        edges[0], edges[-1] = lo, hi
+        half = 0.5 * np.log(edges[1:] / edges[:-1])
+        j = (edges[:-1, None] * np.exp(half[:, None] * (1.0 + _KNOTS))).ravel()
+        rings, ring_weights = [], []
+        for t, sign in ((hi, 1.0), (lo, -1.0)):
+            r = min(4.0, 0.5 * t, -math.expm1(-math.pi / (6.0 * kappa(math.log(t)))) * t)
+            rings.append(t + r * _ROOTS)
+            ring_weights.append(sign * (_FOURIER @ (_EULER_MACLAURIN * r**-_ODD)))
+        return (np.concatenate((j, [lo, hi])),
+                np.concatenate(((half[:, None] * _GAUSS).ravel() * j, [0.5, 0.5])),
+                np.concatenate(rings), np.concatenate(ring_weights))
+
+
+# The bridge's Gauss-Legendre rule; 64 roots of unity and the Cauchy
+# integrals at them for the Taylor coefficients of the odd orders n <= 19,
+# whose Euler-Maclaurin weights are B_2k / (2k)! (2k - 1)!
+_KNOTS, _GAUSS = leggauss(16)
+_ROOTS = np.exp(2j * math.pi * np.arange(64) / 64)
+_FOURIER = _ROOTS[:, None] ** -_ODD / 64
+_EULER_MACLAURIN = _BERNOULLI * np.array([math.factorial(int(n)) for n in _ODD])
+
+
+def _index(log_ratio: float, p: float) -> float:
+    """The first index j with j**p >= e**log_ratio, or inf past 2**53."""
+    e = log_ratio / p
+    return math.ceil(math.exp(e)) if e < math.log(_EXACT) else math.inf
 
 
 def _by_nodes(fn, nodes: np.ndarray, width: int) -> np.ndarray:
@@ -342,40 +373,29 @@ def _by_nodes(fn, nodes: np.ndarray, width: int) -> np.ndarray:
 
 
 def _exp_head(c: float, p: float, head: int, radius: float, cutoff: float):
-    """Last directly summed index of an exponentially deformed sum, and
-    the upper end of its series: infinity, or that index when none
+    """Last index before the series of an exponentially deformed sum,
+    and the upper end of its series: infinity, or that index when none
     follows.
 
     The series may start at index a >= 257 (and past the ``head``
     explicit values) once radius e**x_a / beta_a <= 1/2, x_a =
     sqrt(beta_a / cutoff): its alternating terms lose a factor
     e**(2 q x_a) to cancellation at order q, which the weight
-    (radius / (beta_a e**x_a))**q repays.  As a function of beta that
-    ratio falls up to beta = 4 cutoff and rises after, so past the
-    first candidate the earliest start solves beta e**-sqrt(beta /
-    cutoff) = 2 radius on the falling side, beta = cutoff y**2 with y
-    = -2 W0(-sqrt(radius / (2 cutoff))).  The start also needs x_a <=
-    32, which keeps e**(2 q x_a) far from overflow.  Without a start
-    the direct sum runs on to x_j = 40, past which every term is below
-    rounding.
+    (radius / (beta_a e**x_a))**q repays, and x_a <= 32 keeps that
+    factor far from overflow.  The ratio falls up to beta = 4 cutoff
+    and rises after: past a first candidate only its minimum can
+    qualify.  Without a start the sum runs on to x_j = 40 + log max(1,
+    radius / cutoff), past which every |w_j| <= radius / (x_j**2 cutoff
+    e**x_j) is below e**-40 / 1600.
     """
 
-    def starts(j: int) -> bool:
-        b = c * float(j) ** p
-        x = math.sqrt(b / cutoff)
-        return x <= 32.0 and radius * math.exp(x) <= 0.5 * b
-
     a = max(_HEAD_TERMS, head) + 1
-    if starts(a):
-        return a - 1, math.inf
-    z = math.sqrt(radius / (2.0 * cutoff))
-    if c * float(a) ** p < 4.0 * cutoff and z < 1.0 / math.e:
-        y = -2.0 * float(special.lambertw(-z).real)
-        first = max(a, math.ceil(math.exp(min(math.log(cutoff * y * y / c) / p, 60.0))))
-        for j in range(first, first + 3):
-            if starts(j):
-                return j - 1, math.inf
-    last = max(head, math.ceil(math.exp(min(math.log(1600.0 * cutoff / c) / p, 60.0))))
+    for j in (a, max(a, _index(math.log(4.0) + math.log(cutoff) - math.log(c), p))):
+        b = c * float(j) ** p
+        if math.sqrt(b / cutoff) <= 32.0 and radius * math.exp(math.sqrt(b / cutoff)) <= 0.5 * b:
+            return j - 1, math.inf
+    x = 40.0 + max(0.0, math.log(radius / cutoff))
+    last = max(head, _index(math.log(x * x * cutoff / c), p))
     return last, last
 
 
@@ -384,13 +404,15 @@ def _power(orders: tuple):
     at a single node, and their tail expansions, the single powers
     b**-k (b/beta)**k: b**-k on the diagonal of the weights, whose
     zeros add nothing.  Each row is its own scalar-exponent power, which
-    rounds as it does alone (an array of exponents may not)."""
+    rounds as it does alone (an array of exponents may not); at complex
+    beta the rows are the analytic summand."""
     return (
         lambda s, beta: np.stack([beta ** (-float(k)) for k in orders])[:, None],
         lambda s, b, terms: (
             orders,
             np.diag([b ** (-float(k)) for k in orders])[:, None, :],
         ),
+        None,
     )
 
 

@@ -235,8 +235,8 @@ BATCH_SPECTRA = dict(
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(xs=st.lists(st.floats(-14.0, 14.0), min_size=1, max_size=12), **BATCH_SPECTRA)
 def test_batch_matches_scalar_evaluation(xs, p, c, head):
-    # a batch node sums its head up to the index set by the largest |s|
-    # of its run, a lone node up to its own, so the two agree to
+    # a batch node follows the plan of the largest |s| of its batch, a
+    # lone node its own, so the two agree to
     # rounding (the exponential Mellin tail to about 1e-14), not to the bit
     spec = _spectrum_with_head(p, c, head)
     s = _batch_nodes(xs)
@@ -251,11 +251,13 @@ def test_batch_matches_scalar_evaluation(xs, p, c, head):
 
 
 def test_batch_nodes_pay_for_their_own_head(monkeypatch):
-    # at |s| > 2 L / e**2 the exponential profile's series cannot start
-    # and the direct head runs to x_j = 40 (64,000 terms at L = 40);
-    # the other nodes of the batch keep their own short heads
+    # every node of a batch evaluates its summand at no more than 4,000
+    # points up to |s| = 1e6: at |s| > 2 L / e**2 the exponential
+    # profile's series cannot start, and past the direct floor of 256
+    # terms the Euler-Maclaurin bridge carries the sum out to x_j = 40 +
+    # log(|s| / L) (64,000 to 100,000 terms at L = 40) in a number of
+    # points that grows like log |s|; the batch against each node alone
     expo = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), 40.0)
-    s = np.linspace(-11.3, 11.3, 43)
     pairs = []
     by_nodes = spectrum._by_nodes
 
@@ -264,13 +266,155 @@ def test_batch_nodes_pay_for_their_own_head(monkeypatch):
         return by_nodes(fn, nodes, width)
 
     monkeypatch.setattr(spectrum, "_by_nodes", counting)
-    log_phi = ch.deformed_log(expo, s)
-    batch = sum(pairs)
-    pairs.clear()
-    scalar = np.array([ch.deformed_log(expo, float(x)) for x in s])
-    assert batch <= 2 * sum(pairs)
-    assert np.max(np.abs(np.exp(log_phi.real) - np.exp(scalar.real))) <= 3e-14
-    assert np.max(np.abs(log_phi.imag - scalar.imag)) <= 3e-14
+    for top in (11.3, 1e3, 1e6):
+        s = np.linspace(-top, top, 43)
+        pairs.clear()
+        log_phi = ch.deformed_log(expo, s)
+        assert sum(pairs) <= 4000 * len(s)
+        scalar = np.array([ch.deformed_log(expo, float(x)) for x in s])
+        assert np.max(np.abs(np.exp(log_phi.real) - np.exp(scalar.real))) <= 3e-14
+        # 3e-14 while the phases stay below 16 (11 at |s| = 11.3), and as
+        # many units of their rounding beyond (they reach 1346 at 1e6)
+        tol = 3e-14 * np.spacing(np.max(np.abs(scalar.imag))) / np.spacing(8.0)
+        assert np.max(np.abs(log_phi.imag - scalar.imag)) <= max(3e-14, tol)
+
+
+def _direct_rows(spec, f, s, last, exp_cutoff=None, thresh=math.inf):
+    """The direct sum the bridge replaces: math.fsum of the rows f(s,
+    beta_j) over the j <= last with beta_j <= thresh, read from
+    ``Spectrum.chunks`` and deformed by the exponential profile with
+    cutoff ``exp_cutoff``; and the fsum of the rows' magnitudes, the
+    scale of their rounding."""
+    rows = ([], [])
+    for block in spec.chunks(last):
+        if exp_cutoff is not None:
+            block = block * np.exp(np.sqrt(block / exp_cutoff))
+        for acc, row in zip(rows, f(np.array([[s]]), block[block <= thresh])[:, 0]):
+            acc.extend(row.tolist())
+    return [(math.fsum(acc), math.fsum(map(abs, acc))) for acc in rows]
+
+
+def _assert_rows_match(got, direct):
+    # to 1e-15 of the rows' magnitudes: sums that cancel (the renormalized
+    # rows at complex nodes) keep the rounding of their large terms
+    for x, (want, scale) in zip(got, direct):
+        assert abs(x - want) <= 1e-15 * max(1.0, scale), (got, direct)
+
+
+def _bridge_nodes(top, mu):
+    """A batch whose largest |s| is top: real and complex nodes of every
+    size below it, and nodes up to Im s = -0.999 mu."""
+    return np.array([top, -0.3 * top + 0.2j * top, 0.01 * top - 0.5j * mu, -3.0 - 0.63j * mu,
+                     0.02 - 0.999j * mu, -0.9j * mu])
+
+
+@pytest.mark.parametrize("p", [0.55, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("c", [1e-3, 1.0])
+@pytest.mark.parametrize("head", [(), (0.7, 2.5), (100.0,) * 40])
+def test_bridge_matches_direct_sums(p, c, head):
+    # sums whose tail index J lies past the direct floor: the batch's
+    # largest |s| sets J near 1000, so each node sums 32 terms directly
+    # (the long head's 40, and up to beta = e**(pi/3) |s| for the nodes
+    # near -i mu = -i beta_41), bridges to J and takes the series to n =
+    # 5000; cut at n = 600 inside the bridge, no series follows; both
+    # rows of both summands
+    spec = rn.ExplicitWithTail(head, c, p)
+    s = _bridge_nodes(0.5 * c * 1000.0**p, spec.min_value())
+    for first in (1, 2):
+        terms = ch._log_terms(first)
+        for n in (5000, 600):
+            got = spec._spectral_sum(*terms, s, upper=n)
+            for i, x in enumerate(s):
+                _assert_rows_match(got[:, i], _direct_rows(spec, terms[0], x, n))
+
+
+@pytest.mark.parametrize(
+    "p, c, lam_cut",
+    # no series start: the bridge runs from index 257 to x_j = 40, at
+    # indices 8000, 2829 and 35,878; the series from beta_j = 4 L, index
+    # 2000, on
+    [(1.0, 1.0, 5.0), (2.0, 1e-3, 5.0), (0.55, 1.0, 0.2), (1.0, 1.0, 500.0)],
+)
+@pytest.mark.parametrize("head", [(), (0.7, 2.5)])
+def test_bridge_matches_direct_exponential_sums(p, c, lam_cut, head):
+    spec = rn.ExplicitWithTail(head, c, p)
+    d = rn.DeformedSpectrum(spec, rn.Exponential(), lam_cut)
+    last = len(head) + math.ceil((1600.0 * lam_cut / c) ** (1.0 / p))
+    s = _bridge_nodes(100.0 if lam_cut == 500.0 else 30.0, spec.min_value())
+    got = d._deformed_sum(*ch._PRODUCT, s)
+    for i, x in enumerate(s):
+        _assert_rows_match(got[:, i], _direct_rows(spec, ch._PRODUCT[0], x, last, lam_cut))
+
+
+def test_exponential_sums_at_huge_arguments():
+    # |s| far above the cutoff: at x_j = 40 the terms are still |w_j| =
+    # |s| / (1600 L e**40), 5e-5 at |s| = 1e20 and L = 5, so the sum
+    # runs on to x_j = 40 + log(|s| / L), 35,600 terms, by the bridge
+    d = rn.DeformedSpectrum(HARMONIC, rn.Exponential(), 5.0)
+    s = np.array([1e12, -1e20, 3e16 + 0.5j])
+    got = d._deformed_sum(*ch._PRODUCT, s)
+    for i, x in enumerate(s):
+        _assert_rows_match(got[:, i], _direct_rows(HARMONIC, ch._PRODUCT[0], x, 60000, 5.0))
+
+
+def test_bridge_matches_direct_sharp_survivors():
+    # the survivors end at index 1000 (upper), between the floor and J =
+    # 10,000 of |s| = 5000: the bridge runs to the last survivor
+    for spec in (HARMONIC, rn.ExplicitWithTail([0.7, 2.5], 1.0, 1.0)):
+        d = rn.DeformedSpectrum(spec, SHARP, 1e3)
+        upper = d.sharp_tail_max_index()
+        s = _bridge_nodes(5000.0, spec.min_value())
+        got = d._deformed_sum(*ch._PRODUCT, s)
+        for i, x in enumerate(s):
+            _assert_rows_match(got[:, i], _direct_rows(spec, ch._PRODUCT[0], x, upper,
+                                                       thresh=d._sharp_thresh))
+
+
+def test_bridge_keeps_the_digits_of_the_direct_sum():
+    # beta_j = j**0.55 to n = 5000, where the direct sums of the 5000
+    # terms came within 0.5 units of rounding of 30-digit sums: the
+    # bridge (from index 33 on) stays within 2e-16 of them
+    spec = rn.PowerLaw(1.0, 0.55)
+    s = np.array([-1000.0, 1e4 + 0.3j, 300.0 - 0.5j])
+    got = spec._spectral_sum(*ch._PRODUCT, s, upper=5000)
+    betas = [mpf(j) ** mpf(0.55) for j in range(1, 5001)]
+    for (twice_re, im), x in zip(got.T, s):
+        total = _mp_log_sum(complex(x), betas)
+        assert abs(twice_re - 2 * total.real) <= 2e-16 * abs(2 * total.real)
+        assert abs(im - total.imag) <= 2e-16 * abs(total.imag)
+
+
+def test_bridge_matches_weierstrass_product():
+    # sum_j [log(1 - z/j) + z/j] = gamma z - log Gamma(1 - z), z = i s,
+    # at |s| up to 1e6, where the bridge runs from index 33 to 2e6
+    s = np.array([50.0, -300.0, 1e3, 1e4 + 3.0j, -1e5 - 0.5j, 1e6, 2e5 + 1e5j, -7.0 + 0.2j])
+    got = HARMONIC._spectral_sum(*ch._RENORMALIZED, s)
+    for (twice_re, im), x in zip(got.T, s):
+        z = 1j * mpc(complex(x))
+        want = euler * z - loggamma(1 - z)
+        assert abs(twice_re - 2 * want.real) <= 1e-15 * max(1.0, abs(2 * want.real))
+        assert abs(im - want.imag) <= 1e-15 * max(1.0, abs(want.imag))
+
+
+def test_bridge_keeps_batch_independence_and_symmetry(monkeypatch):
+    # within one plan a node's bits depend neither on the other nodes
+    # nor on how the batch is sliced, and the rows at -conj(s) are those
+    # at s with Im negated, bit for bit
+    spec = rn.ExplicitWithTail([0.7, 2.5], 1e-3, 1.5)
+    s = _bridge_nodes(30.0, spec.min_value())
+    both = np.concatenate((s, -s.conjugate()))
+    for terms in (ch._PRODUCT, ch._RENORMALIZED):
+        got = spec._spectral_sum(*terms, both)
+        assert np.array_equal(got[0, : len(s)], got[0, len(s) :])
+        assert np.array_equal(got[1, : len(s)], -got[1, len(s) :])
+        more = spec._spectral_sum(*terms, np.concatenate((both, [0.5, -2.0, 7.0])))
+        assert np.array_equal(more[:, : len(both)], got)
+        with monkeypatch.context() as m:
+            m.setattr(spectrum, "_BATCH", 700)
+            assert np.array_equal(spec._spectral_sum(*terms, both), got)
+        for i, x in enumerate(both):
+            alone = spec._spectral_sum(*terms, x)
+            assert np.all(np.abs(got[:, i] - alone) <= 1e-15 * np.maximum(1.0, np.abs(alone)))
 
 
 def test_small_nodes_sum_only_the_floor_directly():
@@ -279,14 +423,14 @@ def test_small_nodes_sum_only_the_floor_directly():
     # against the Weierstrass product sum_j [log(1 - z/j) + z/j] = gamma
     # z - log Gamma(1 - z), z = i s
     s = np.concatenate((np.linspace(-14.0, 14.0, 29), np.linspace(-7.0, 7.0, 9) + 0.4j))
-    rows, series = ch._log_terms(2)
+    rows, series, analytic = ch._log_terms(2)
     terms = []
 
     def counting(nodes, beta):
         terms.append(nodes.size * beta.size)
         return rows(nodes, beta)
 
-    got = HARMONIC._spectral_sum(counting, series, s)
+    got = HARMONIC._spectral_sum(counting, series, analytic, s)
     assert sum(terms) <= len(s) * spectrum._NODE_HEAD
     for x, (twice_re, im) in zip(s, got.T):
         z = 1j * complex(x)
@@ -417,15 +561,19 @@ def test_sharp_flow_with_masked_head():
         assert np.array_equal(ch.flow_log(d, x, theta), -0.5j * x * (r + theta))
 
 
-def test_renormalized_limit_term_budget():
-    # s = 1e9 needs about 2e9 harmonic terms before the tail expansion
-    # applies; the shared budget refuses before summing any of them
+def test_renormalized_limit_at_huge_argument():
+    # s = 1e9 on beta_j = j: the series starts past J = 2e9, and the
+    # bridge carries the sum there from index 33 in a few hundred
+    # points; against the Weierstrass product, i gamma s - log Gamma(1 -
+    # i s), alone and batched
     t0 = time.perf_counter()
-    with pytest.raises(rn.NoConvergence):
-        ch.renormalized_log(HARMONIC, 0.0, 1e9)
-    with pytest.raises(rn.NoConvergence):
-        ch.renormalized_log(HARMONIC, 0.0, np.array([0.5, 1e9]))
+    alone = ch.renormalized_log(HARMONIC, 0.0, 1e9)
+    batch = ch.renormalized_log(HARMONIC, 0.0, np.array([0.5, 1e9]))
     assert time.perf_counter() - t0 < 1.0
+    for value, s in ((alone, 1e9), (batch[1], 1e9), (batch[0], 0.5)):
+        z = 1j * mpf(s)
+        want = complex(-(euler * z - loggamma(1 - z)) / 2)
+        assert abs(value - want) <= 1e-15 * abs(want)
 
 
 def test_renormalized_limit_rejects_nonfinite_argument():
@@ -465,7 +613,9 @@ def test_no_warning_at_the_branch_points():
     # |1 + w|**2 - 1 rounds to -1 at s = -i mu (1 - 1e-9), where log1p
     # would divide by zero: those entries take log |1 + w|**2 alone, and
     # every value keeps its bits (the float.hex() of the first, and the
-    # sha256 of all of them, batched and one node at a time)
+    # sha256 of all of them, batched and one node at a time; the
+    # exponential flow at L = 5 sums its 8000 terms by the bridge, held
+    # to 30-digit sums by test_complex_arguments_match_mpmath_sums)
     values = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -484,7 +634,7 @@ def test_no_warning_at_the_branch_points():
                 values += [float(quantity(complex(u)).real).hex() for u in s]
     assert values[0] == "0x1.ba18a99e952acp+3 0x0.0p+0"
     assert hashlib.sha256(" ".join(values).encode()).hexdigest()[:32] == (
-        "1accff4b9bb5799d179012422bee37ca"
+        "ce9a51804d84839eff2ba42f4e384f9c"
     )
 
 

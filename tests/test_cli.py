@@ -198,18 +198,24 @@ def test_divergent_series_request_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
-def test_term_budget_exit_3(tmp_path):
-    # lambda = 1e15: the kernel window of the theta row's transform
-    # reaches |s| = 3.6e8, where the renormalized product needs more
-    # direct terms than the summation budget allows
-    cfg = _write_config(tmp_path, {"lambda": 1e15})
-    result = RUNNER.invoke(main, ["--config", str(cfg), "z"])
-    assert result.exit_code == 3
-    assert "direct terms" in result.output
+def test_index_range_exit_3(tmp_path):
+    # beta_j = 1e-300 j: the finite sections are summed (their factors
+    # are far past |w| = 1e150, where |w|**2 would overflow), then the
+    # flow at the first cutoff, 100, needs indices past 2**53, where float
+    # indices stop being exact, and is refused before summing; no
+    # RuntimeWarning on the way
+    cfg = _write_config(tmp_path, {"spectrum": {"family": "power_law", "c": 1e-300, "p": 1.0}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = RUNNER.invoke(main, ["--config", str(cfg), "phi"])
+    assert result.exit_code == 3, result.output
+    assert "Error: phi: flow at Lambda = 100: sum at |s| = " in result.output
+    assert "needs indices past 2**53" in result.output
+    assert "Warning" not in result.output
 
 
-# the part of each failure's message that names the exhausted budget
-_BUDGET_MESSAGE = {"flow": "still above tolerance", "z": "direct terms", "phi": "|s| = "}
+# the part of each failure's message that names what is refused
+_REFUSAL_MESSAGE = {"flow": "still above tolerance", "z": "past 2**53", "phi": "|s| = "}
 
 
 @pytest.mark.parametrize(
@@ -218,12 +224,13 @@ _BUDGET_MESSAGE = {"flow": "still above tolerance", "z": "direct terms", "phi": 
         # no quadrature meets a tolerance below its rounding floor, so
         # the first transform fails after the reference phi value
         ("flow", {"quadrature": {"abs_tol": 1e-300, "rel_tol": 1e-300}}, "z_renormalized"),
-        # z_decay succeeds, then the theta row's renormalized product
-        # needs too many direct terms at the edge of the kernel window
-        ("z", {"lambda": 1e15}, "z_theta at theta = 0"),
+        # z_decay succeeds, then the theta row's renormalized product at
+        # beta_j = 1e-9 j**0.6 needs indices past 2**53
+        ("z", {"spectrum": {"family": "power_law", "c": 1e-9, "p": 0.6}},
+         "z_theta at theta = 0"),
         # the finite sections succeed, then the flow over the whole
-        # s-grid at the first cutoff needs too many direct terms
-        ("phi", {"spectrum": {"family": "power_law", "c": 1e-9, "p": 1.0},
+        # s-grid at the first cutoff needs indices past 2**53
+        ("phi", {"spectrum": {"family": "power_law", "c": 1e-300, "p": 1.0},
                  "lambda_grid": {"min": 1e3, "max": 1e5, "count": 3}},
          "flow at Lambda = 1000"),
     ],
@@ -235,7 +242,7 @@ def test_numeric_failure_leaves_no_table(tmp_path, command, overrides, stage):
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert f"Error: {command}: {stage}: " in result.output
-    assert _BUDGET_MESSAGE[command] in result.output
+    assert _REFUSAL_MESSAGE[command] in result.output
     assert list((tmp_path / "out").glob("*")) == []
 
 
